@@ -93,11 +93,22 @@ def identity_functor(C):
     return make_functor(C, C, {a: a for a in C.objects})
 
 
+def _increasing(src, dst, leq, c):
+    """The increasing condition on an index map c: src[i][k] below dst[c[i]][c[k]]."""
+    return all(leq(s, dst[ci][ck]) for row, ci in zip(src, c) for s, ck in zip(row, c))
+
+
+def _index_maps(src, dst, leq):
+    """Every index map c that passes the increasing condition, lexicographic."""
+    for c in product(range(len(dst)), repeat=len(src)):
+        if _increasing(src, dst, leq, c):
+            yield c
+
+
 def is_functor(F):
     """The increasing condition: hom(a,a') below hom(F a, F a')."""
-    A, B, L = F.domain, F.codomain, F.domain.lattice
-    return all(L.leq(A.hom_at(a, a2), B.hom_at(F(a), F(a2)))
-               for a in A.objects for a2 in A.objects)
+    A, B = F.domain, F.codomain
+    return _increasing(A.hom, B.hom, A.lattice.leq, tuple(B._pos[F(a)] for a in A.objects))
 
 
 def is_fully_faithful(F):
@@ -140,12 +151,8 @@ def _check_parallel(F, G):
 
 def enumerate_functors(A, B):
     """All functors A -> B, lexicographic in B's object order."""
-    out = []
-    for choice in product(B.objects, repeat=len(A.objects)):
-        F = make_functor(A, B, dict(zip(A.objects, choice)))
-        if is_functor(F):
-            out.append(F)
-    return out
+    return [VFunctor(A, B, tuple(zip(A.objects, (B.objects[j] for j in c))))
+            for c in _index_maps(A.hom, B.hom, A.lattice.leq)]
 
 
 def self_enrichment(L, carrier):

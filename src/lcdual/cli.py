@@ -13,11 +13,10 @@ from .categories import (
     make_functor, is_functor, validate_category, canonical_leq, verify_yoneda,
     enumerate_functors,
 )
-from .lconvex import closure, from_generators, member, PointVector, validate_lcs
-from .duality import (
-    cat_to_lcs, lcs_to_cat, make_homomorphism, is_homomorphism,
-    hom_canonical_leq, enumerate_homs,
+from .lconvex import (
+    closure, from_generators, member, PointVector, validate_lcs, as_category,
 )
+from .duality import cat_to_lcs, lcs_to_cat, enumerate_homs
 from .classify import classify_two_point, render_region
 from . import docfiles
 from .docfiles import DocumentError
@@ -122,24 +121,23 @@ def cmd_hull(args):
     return 0
 
 
+def _print_maps(labels, maps):
+    for f in maps:
+        print(",".join("%s:%s" % (a, f(a)) for a in labels))
+    print("count: %d" % len(maps))
+    return 0
+
+
 def cmd_functors(args):
     A = docfiles.to_category(_load(args.domain))
     B = docfiles.to_category(_load(args.codomain))
-    fs = enumerate_functors(A, B)
-    for F in fs:
-        print(",".join("%s:%s" % (a, F(a)) for a in A.objects))
-    print("count: %d" % len(fs))
-    return 0
+    return _print_maps(A.objects, enumerate_functors(A, B))
 
 
 def cmd_homs(args):
     D = docfiles.to_lcs(_load(args.domain))
     E = docfiles.to_lcs(_load(args.codomain))
-    hs = enumerate_homs(D, E)
-    for phi in hs:
-        print(",".join("%s:%s" % (w, phi(w)) for w in E.index))
-    print("count: %d" % len(hs))
-    return 0
+    return _print_maps(E.index, enumerate_homs(D, E))
 
 
 def cmd_leq(args):
@@ -149,29 +147,22 @@ def cmd_leq(args):
         raise DocumentError("leq needs exactly two --map specs")
     m1, m2 = (_parse_map_spec(s) for s in args.map)
     if dom_doc.kind == "kcategory" and cod_doc.kind == "kcategory":
-        A = docfiles.to_category(dom_doc)
-        B = docfiles.to_category(cod_doc)
-        try:
-            F = make_functor(A, B, m1)
-            G = make_functor(A, B, m2)
-        except (ValueError, KeyError) as exc:
-            raise DocumentError("bad map spec: %s" % exc)
-        if not is_functor(F) or not is_functor(G):
-            raise DocumentError("a map spec is not a functor")
-        forward, backward = canonical_leq(F, G), canonical_leq(G, F)
+        A, B = docfiles.to_category(dom_doc), docfiles.to_category(cod_doc)
+        what = "functor"
     elif dom_doc.kind == "lconvex" and cod_doc.kind == "lconvex":
-        D = docfiles.to_lcs(dom_doc)
-        E = docfiles.to_lcs(cod_doc)
-        try:
-            phi = make_homomorphism(D, E, m1)
-            psi = make_homomorphism(D, E, m2)
-        except (ValueError, KeyError) as exc:
-            raise DocumentError("bad map spec: %s" % exc)
-        if not is_homomorphism(phi) or not is_homomorphism(psi):
-            raise DocumentError("a map spec is not a homomorphism")
-        forward, backward = hom_canonical_leq(phi, psi), hom_canonical_leq(psi, phi)
+        # a homomorphism D -> E is the functor [E] -> [D] with the same index map
+        A, B = as_category(docfiles.to_lcs(cod_doc)), as_category(docfiles.to_lcs(dom_doc))
+        what = "homomorphism"
     else:
         raise DocumentError("leq expects two kcategory files or two lconvex files")
+    try:
+        F = make_functor(A, B, m1)
+        G = make_functor(A, B, m2)
+    except (ValueError, KeyError) as exc:
+        raise DocumentError("bad map spec: %s" % exc)
+    if not is_functor(F) or not is_functor(G):
+        raise DocumentError("a map spec is not a %s" % what)
+    forward, backward = canonical_leq(F, G), canonical_leq(G, F)
     print("forward: %s" % ("true" if forward else "false"))
     print("backward: %s" % ("true" if backward else "false"))
     return 0 if forward else 1
@@ -302,10 +293,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DocumentError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort internal error

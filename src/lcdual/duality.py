@@ -11,12 +11,13 @@ canonical orderings transfer along the same correspondence.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
-from .scalars import fin
 from .lattices import get_lattice
-from .categories import VCategory, make_functor, validate_category
-from .lconvex import LConvexSet, PointVector, grid_members, validate_lcs
+from .categories import (
+    VCategory, VFunctor, make_functor, validate_category, is_functor, canonical_leq,
+    _index_maps,
+)
+from .lconvex import LConvexSet, PointVector, as_category, grid_members, validate_lcs
 
 PI_PREFIX = "pi_"
 
@@ -124,19 +125,21 @@ def roundtrip_lcs(D, bound=None):
     return True
 
 
+def _as_functor(phi):
+    """phi : D -> E read as the functor [E] -> [D] with the same index map."""
+    return VFunctor(as_category(phi.codomain), as_category(phi.domain), phi.index_map)
+
+
 def is_homomorphism(f, D=None, E=None):
     """Matrix test: every codomain bound dominates the pulled-back bound.
 
-    Equivalent to the defining condition that the pullback carries every
-    member of the domain to a member of the codomain.
+    This is the functor check on the transposed pair: the increasing
+    condition for the same index map from E's matrix to D's under the kbar
+    order.  Equivalent to the defining condition that the pullback carries
+    every member of the domain to a member of the codomain.
     """
-    if isinstance(f, Homomorphism):
-        D, E = f.domain, f.codomain
-        phi = f
-    else:
-        phi = make_homomorphism(D, E, dict(f))
-    return all(E.bound(w, w2).num >= D.bound(phi(w), phi(w2)).num
-               for w in E.index for w2 in E.index)
+    phi = f if isinstance(f, Homomorphism) else make_homomorphism(D, E, dict(f))
+    return is_functor(_as_functor(phi))
 
 
 def functor_to_hom(F):
@@ -162,14 +165,12 @@ def hom_canonical_leq(phi, psi):
     """Canonical ordering, decided by the finite matrix test.
 
     phi below psi iff pulling back along phi gives the pointwise larger
-    map; that holds exactly when 0 >= dbm_D[f(w)][g(w)] for every w.
+    map; that holds exactly when 0 >= dbm_D[f(w)][g(w)] for every w, the
+    canonical ordering of the corresponding functors [E] -> [D].
     """
     if phi.domain != psi.domain or phi.codomain != psi.codomain:
         raise ValueError("homomorphisms are not parallel")
-    D = phi.domain
-    zero = fin(0)
-    return all(zero.num >= D.bound(phi(w), psi(w)).num
-               for w in phi.codomain.index)
+    return canonical_leq(_as_functor(phi), _as_functor(psi))
 
 
 def hom_leq_pointwise(phi, psi, bound=3):
@@ -184,10 +185,10 @@ def hom_leq_pointwise(phi, psi, bound=3):
 
 
 def enumerate_homs(D, E):
-    """All homomorphisms D -> E, lexicographic in D's index order."""
-    out = []
-    for choice in product(D.index, repeat=len(E.index)):
-        phi = make_homomorphism(D, E, dict(zip(E.index, choice)))
-        if is_homomorphism(phi):
-            out.append(phi)
-    return out
+    """All homomorphisms D -> E, lexicographic in D's index order.
+
+    These are the functors [E] -> [D]: the same search on the transposed pair.
+    """
+    leq = get_lattice("kbar", D.scalar_kind).leq
+    return [Homomorphism(D, E, tuple(zip(E.index, (D.index[j] for j in c))))
+            for c in _index_maps(E.dbm, D.dbm, leq)]

@@ -178,8 +178,8 @@ def closure(c):
             break
         relax()
 
-    mk_int = c.scalar_kind == "int"
-    rows = tuple(tuple(from_num(int(x) if mk_int and x not in (float("inf"), float("-inf")) else x)
+    mk = int if c.scalar_kind == "int" else float
+    rows = tuple(tuple(from_num(x if x in (float("inf"), float("-inf")) else mk(x))
                        for x in row) for row in d)
     return LConvexSet(c.scalar_kind, tuple(idx), rows)
 

@@ -8,6 +8,8 @@ forced by the adjunction between them; in particular (-inf) + inf = inf
 and inf - inf = -inf.
 """
 
+import re
+
 NINF_TAG = "ninf"
 FIN_TAG = "fin"
 PINF_TAG = "pinf"
@@ -142,8 +144,9 @@ def trunc_sub(y, x):
     return fin(d)
 
 
-def _zero_like(x):
-    return 0.0 if (x.is_fin and isinstance(x.value, float)) else 0
+def _zero_like(*xs):
+    """0.0 when some operand carries a real payload, else the integer 0."""
+    return 0.0 if any(x.is_fin and isinstance(x.value, float) for x in xs) else 0
 
 
 def _require_bool(*xs):
@@ -172,7 +175,7 @@ def cart_implies(x, y):
     """Hom of the max-plus variant: 0 when x already dominates y, else y."""
     _require_nonneg(x, y)
     if x.num >= y.num:
-        return fin(_zero_like(x) if x.is_fin else 0)
+        return fin(_zero_like(x, y))
     return y
 
 
@@ -210,30 +213,28 @@ def format_scalar(x):
     return str(x.value)
 
 
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+_REAL_LITERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def parse_scalar(text, scalar_kind="int"):
     """Parse the scalar text syntax: `inf`, `-inf`, or a numeric literal.
 
-    Integer kind accepts optional sign + decimal digits; real kind accepts
-    decimal literals (exponents permitted).
+    Integer kind accepts an optional ASCII sign and ASCII decimal digits;
+    real kind accepts ASCII decimal literals with an optional exponent.
     """
     text = text.strip()
     if text == "inf":
         return POS_INF
     if text == "-inf":
         return NEG_INF
-    if text == "true":
-        return TRUE
-    if text == "false":
-        return FALSE
     if scalar_kind == "int":
-        try:
-            return fin(int(text))
-        except ValueError:
+        if not _INT_LITERAL.fullmatch(text):
             raise ValueError("bad integer scalar literal: %r" % text)
-    try:
-        return fin(float(text))
-    except ValueError:
+        return fin(int(text))
+    if not _REAL_LITERAL.fullmatch(text):
         raise ValueError("bad real scalar literal: %r" % text)
+    return fin(float(text))
 
 
 # --- numeric-key helpers -------------------------------------------------

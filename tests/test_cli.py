@@ -84,6 +84,8 @@ def test_member_bad_point(write, capsys):
     path = write("band.lcx", BAND_LCX)
     assert main(["member", path, "--point", "v=0"]) == 2
     assert "missing coordinates" in capsys.readouterr().err
+    assert main(["member", path, "--point", "v=true,w=0"]) == 2
+    assert "bad integer scalar literal" in capsys.readouterr().err
 
 
 def test_closure(write, capsys):
@@ -93,6 +95,15 @@ def test_closure(write, capsys):
     assert main(["closure", path]) == 0
     out = capsys.readouterr().out
     assert out.count("-inf") == 4
+
+
+def test_closure_real_kind_keeps_float_payloads(write, capsys):
+    text = "kind: constraints\nscalar: real\nindex: v w\n" \
+           "d: v v 0.5\nd: v w 1.5\nd: w v inf\nd: w w 2.0\n"
+    path = write("real.cons", text)
+    assert main(["closure", path]) == 0
+    out = capsys.readouterr().out
+    assert "d: v v 0.0" in out and "d: w w 0.0" in out and "d: v w 1.5" in out
 
 
 def test_hull(write, capsys):

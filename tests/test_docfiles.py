@@ -1,5 +1,6 @@
 import pytest
 
+from lcdual.cli import main
 from lcdual.scalars import NEG_INF, POS_INF, fin
 from lcdual.docfiles import (
     parse_document, emit_document, DocumentError,
@@ -111,3 +112,17 @@ def test_real_kind_values():
     D = to_lcs(parse_document(text))
     assert D.bound("v", "v") == fin(0.0)
     assert "0.0" in emit_document(from_lcs(D))
+
+
+@pytest.mark.parametrize("kind,value", [
+    ("int", "1_000"),      # digit grouping
+    ("int", "\u0663"),     # Arabic-Indic three
+    ("int", "true"),       # truth values are no matrix scalar
+    ("real", "1_0.5"),
+])
+def test_scalar_literals_outside_the_grammar(tmp_path, capsys, kind, value):
+    path = tmp_path / "bad.kcat"
+    path.write_text("kind: kcategory\nscalar: %s\npoints: v\nhom: v v %s\n" % (kind, value),
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert "line 4" in capsys.readouterr().err

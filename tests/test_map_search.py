@@ -1,0 +1,105 @@
+"""Brute-force oracle for `enumerate_functors` and `enumerate_homs`.
+
+Both searches run on one shared index-map engine, so comparing them with
+each other (acceptance criterion 4) cannot catch a fault in that engine.
+Here every index map is tried and checked by the definitions, written out
+independently: functors by the per-pair increasing condition, homs by
+pulling back grid members and canonical points.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from lcdual.lattices import get_lattice
+from lcdual.categories import make_category, enumerate_functors
+from lcdual.scalars import POS_INF, fin
+from lcdual.lconvex import (
+    PointVector, RawConstraints, closure, member, grid_members, canonical_points,
+)
+from lcdual.duality import enumerate_homs
+
+from conftest import NINF, kcat
+from test_lconvex import lcs
+
+
+def oracle_functors(A, B):
+    L = A.lattice
+    found = []
+    for choice in product(B.objects, repeat=len(A.objects)):
+        f = dict(zip(A.objects, choice))
+        if all(L.leq(A.hom_at(a, a2), B.hom_at(f[a], f[a2]))
+               for a in A.objects for a2 in A.objects):
+            found.append(choice)
+    return found
+
+
+def oracle_homs(D, E, bound):
+    points = grid_members(D, bound) + canonical_points(D)
+    found = []
+    for choice in product(D.index, repeat=len(E.index)):
+        f = dict(zip(E.index, choice))
+        if all(member(E, PointVector({w: p[f[w]] for w in E.index})) for p in points):
+            found.append(choice)
+    return found
+
+
+def functor_images(A, B):
+    return [tuple(F(a) for a in A.objects) for F in enumerate_functors(A, B)]
+
+
+def hom_images(D, E):
+    return [tuple(phi(w) for w in E.index) for phi in enumerate_homs(D, E)]
+
+
+def random_lcs(rng, n, labels):
+    """A closed dbm from a hidden potential plus slack, some bounds open or tight."""
+    pot = [rng.randint(-2, 2) for _ in range(n)]
+    rows = [[fin(0) if i == j else rng.choice([POS_INF, fin(rng.randint(-2, 2)),
+                                               fin(pot[j] - pot[i] + rng.randint(0, 2))])
+             for j in range(n)] for i in range(n)]
+    return closure(RawConstraints("int", labels[:n], rows))
+
+
+def random_category(rng, L, n, labels):
+    grid = L.carrier_grid(1)
+    return make_category(L, labels[:n], [[rng.choice(grid) for _ in range(n)]
+                                         for _ in range(n)])
+
+
+@pytest.mark.parametrize("lattice", ["kbar", "two", "kbar_plus"])
+def test_functor_search_matches_oracle(lattice):
+    L = get_lattice(lattice)
+    rng = random.Random("functors/" + lattice)
+    kept = rejected = 0
+    for _ in range(60):
+        A = random_category(rng, L, rng.randint(1, 3), ("a", "b", "c"))
+        B = random_category(rng, L, rng.randint(1, 3), ("x", "y", "z"))
+        want = oracle_functors(A, B)
+        assert functor_images(A, B) == want
+        kept += len(want)
+        rejected += len(B.objects) ** len(A.objects) - len(want)
+    assert kept and rejected
+
+
+def test_hom_search_matches_oracle():
+    rng = random.Random(1212)
+    kept = rejected = 0
+    for _ in range(80):
+        D = random_lcs(rng, rng.randint(1, 3), ("v", "w", "x"))
+        E = random_lcs(rng, rng.randint(1, 3), ("p", "q", "r"))
+        bound = max([3] + [abs(int(x.num)) for row in D.dbm for x in row if x.is_fin])
+        want = oracle_homs(D, E, bound)
+        assert hom_images(D, E) == want
+        kept += len(want)
+        rejected += len(D.index) ** len(E.index) - len(want)
+    assert kept and rejected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collapsed_case_keeps_every_map(n):
+    A = kcat([[NINF] * n] * n)
+    assert functor_images(A, A) == oracle_functors(A, A) == list(product(A.objects, repeat=n))
+    D = lcs([[NINF] * n] * n, labels=("v", "w", "x")[:n])
+    assert hom_images(D, D) == oracle_homs(D, D, 2) == list(product(D.index, repeat=n))

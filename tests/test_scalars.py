@@ -68,6 +68,7 @@ def test_cart_ops():
     assert cart_implies(fin(5), fin(3)) == fin(0)
     assert cart_implies(fin(2), fin(7)) == fin(7)
     assert cart_implies(POS_INF, fin(9)) == fin(0)
+    assert isinstance(cart_implies(POS_INF, fin(2.5)).value, float)
     assert cart_max(fin(2), fin(7)) == fin(7)
     assert cart_max(POS_INF, fin(7)) == POS_INF
 
