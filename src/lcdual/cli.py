@@ -10,12 +10,10 @@ import sys
 from .scalars import parse_scalar, format_scalar
 from .lattices import get_lattice, law_violations
 from .categories import (
-    make_functor, is_functor, validate_category, canonical_leq, verify_yoneda,
+    VCategory, make_functor, is_functor, validate_category, canonical_leq, verify_yoneda,
     enumerate_functors,
 )
-from .lconvex import (
-    closure, from_generators, member, PointVector, validate_lcs, as_category,
-)
+from .lconvex import closure, from_generators, member, PointVector
 from .duality import cat_to_lcs, lcs_to_cat, enumerate_homs
 from .classify import classify_two_point, render_region
 from . import docfiles
@@ -70,14 +68,16 @@ def _parse_point_spec(spec, labels, scalar_kind):
     return PointVector(out)
 
 
+def _load_matrix(path, command):
+    """A kcategory or lconvex file as the category over kbar that either one is."""
+    doc = _load(path)
+    if doc.kind not in ("kcategory", "lconvex"):
+        raise DocumentError("%s expects a kcategory or lconvex file" % command)
+    return VCategory(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
+
+
 def cmd_validate(args):
-    doc = _load(args.file)
-    if doc.kind == "kcategory":
-        bad = validate_category(docfiles.to_category(doc))
-    elif doc.kind == "lconvex":
-        bad = validate_lcs(docfiles.to_lcs(doc))
-    else:
-        raise DocumentError("validate expects a kcategory or lconvex file")
+    bad = validate_category(_load_matrix(args.file, "validate"))
     if bad:
         for msg in bad:
             print(msg)
@@ -151,7 +151,7 @@ def cmd_leq(args):
         what = "functor"
     elif dom_doc.kind == "lconvex" and cod_doc.kind == "lconvex":
         # a homomorphism D -> E is the functor [E] -> [D] with the same index map
-        A, B = as_category(docfiles.to_lcs(cod_doc)), as_category(docfiles.to_lcs(dom_doc))
+        A, B = docfiles.to_lcs(cod_doc), docfiles.to_lcs(dom_doc)
         what = "homomorphism"
     else:
         raise DocumentError("leq expects two kcategory files or two lconvex files")
@@ -169,25 +169,15 @@ def cmd_leq(args):
 
 
 def cmd_classify2(args):
-    doc = _load(args.file)
-    if doc.kind == "kcategory":
-        obj = docfiles.to_category(doc)
-        matrix, kind = obj.hom, obj.lattice.scalar_kind
-        bad = validate_category(obj)
-    elif doc.kind == "lconvex":
-        obj = docfiles.to_lcs(doc)
-        matrix, kind = obj.dbm, obj.scalar_kind
-        bad = validate_lcs(obj)
-    else:
-        raise DocumentError("classify2 expects a kcategory or lconvex file")
-    if len(doc.labels) != 2:
+    C = _load_matrix(args.file, "classify2")
+    if len(C.objects) != 2:
         raise DocumentError("classify2 expects exactly two labels")
+    bad = validate_category(C)
     if bad:
         for msg in bad:
             print(msg)
         return 1
-    shape = classify_two_point(matrix, kind)
-    print(shape.describe())
+    print(classify_two_point(C.hom, C.lattice.scalar_kind).describe())
     return 0
 
 

@@ -197,7 +197,7 @@ def to_generators(doc):
     if doc.kind not in POINT_KINDS:
         raise DocumentError("expected a generators document, got kind %s" % doc.kind)
     pts = tuple(PointVector(dict(zip(doc.labels, pt))) for pt in doc.points)
-    return GeneratorSet(doc.labels, pts)
+    return GeneratorSet(doc.labels, pts, doc.scalar)
 
 
 def from_category(C):

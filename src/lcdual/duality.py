@@ -12,12 +12,11 @@ canonical orderings transfer along the same correspondence.
 
 from dataclasses import dataclass
 
-from .lattices import get_lattice
 from .categories import (
     VCategory, VFunctor, make_functor, validate_category, is_functor, canonical_leq,
     _index_maps,
 )
-from .lconvex import LConvexSet, PointVector, as_category, grid_members, validate_lcs
+from .lconvex import LConvexSet, PointVector, grid_members
 
 PI_PREFIX = "pi_"
 
@@ -33,7 +32,7 @@ class Homomorphism:
             raise ValueError("index_map must cover the codomain index in order")
         mapping = dict(self.index_map)
         for _, v in mapping.items():
-            if v not in self.domain.index:
+            if not self.domain.has_object(v):
                 raise ValueError("index_map hits a label outside the domain index")
         object.__setattr__(self, "_map", mapping)
 
@@ -65,12 +64,6 @@ def _require_valid_category(A):
         raise ValueError("duality needs a category over kbar")
 
 
-def _require_valid_lcs(D):
-    bad = validate_lcs(D)
-    if bad:
-        raise ValueError("not a valid L-convex set: " + "; ".join(bad))
-
-
 def cat_to_lcs(A):
     """Members of the result are exactly the nonexpansive maps A -> kbar."""
     _require_valid_category(A)
@@ -84,9 +77,8 @@ def lcs_to_cat(D):
     p, so this is the full subcategory of the member space on the
     canonical points.
     """
-    _require_valid_lcs(D)
-    labels = tuple(PI_PREFIX + v for v in D.index)
-    return VCategory(get_lattice("kbar", D.scalar_kind), labels, D.dbm)
+    _require_valid_category(D)
+    return VCategory(D.lattice, tuple(PI_PREFIX + v for v in D.index), D.dbm)
 
 
 def unit_witness(A):
@@ -127,7 +119,7 @@ def roundtrip_lcs(D, bound=None):
 
 def _as_functor(phi):
     """phi : D -> E read as the functor [E] -> [D] with the same index map."""
-    return VFunctor(as_category(phi.codomain), as_category(phi.domain), phi.index_map)
+    return VFunctor(phi.codomain, phi.domain, phi.index_map)
 
 
 def is_homomorphism(f, D=None, E=None):
@@ -189,6 +181,5 @@ def enumerate_homs(D, E):
 
     These are the functors [E] -> [D]: the same search on the transposed pair.
     """
-    leq = get_lattice("kbar", D.scalar_kind).leq
     return [Homomorphism(D, E, tuple(zip(E.index, (D.index[j] for j in c))))
-            for c in _index_maps(E.dbm, D.dbm, leq)]
+            for c in _index_maps(E.dbm, D.dbm, D.lattice.leq)]

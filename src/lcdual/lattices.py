@@ -13,7 +13,7 @@ infinity tables are forced, not configurable.
 
 from . import scalars
 from .scalars import (
-    ExtScalar, NEG_INF, POS_INF, TRUE, FALSE, fin,
+    ExtScalar, NEG_INF, POS_INF, TRUE, FALSE, PINF_TAG, fin,
     ext_add, ext_sub, trunc_add, trunc_sub,
     bool_and, bool_implies, cart_max, cart_implies,
     format_scalar,
@@ -104,6 +104,11 @@ class TwoLattice(EnrichingLattice):
 class _NumericLattice(EnrichingLattice):
     """Common machinery for the >=-ordered numeric instances."""
 
+    def __init__(self, scalar_kind="int"):
+        super().__init__(scalar_kind)
+        # the scalar ops cannot see the kind, so the lattice owns its zero
+        self.unit = fin(0.0 if scalar_kind == "real" else 0)
+
     def leq(self, x, y):
         return x.num >= y.num
 
@@ -136,7 +141,6 @@ class KbarLattice(_NumericLattice):
     """K u {-inf, inf} under >=; tensor is extended +, hom is extended -."""
 
     name = "kbar"
-    unit = fin(0)
     _top = NEG_INF
 
     def contains(self, x):
@@ -159,8 +163,7 @@ class KbarPlusLattice(_NumericLattice):
     """Nonnegative K u {inf} under >=; tensor +, hom truncated -."""
 
     name = "kbar_plus"
-    unit = fin(0)
-    _top = fin(0)
+    _top = property(lambda self: self.unit)
 
     def contains(self, x):
         if not isinstance(x, ExtScalar) or x.is_bool or x.tag == scalars.NINF_TAG:
@@ -171,7 +174,8 @@ class KbarPlusLattice(_NumericLattice):
         return trunc_add(x, y)
 
     def hom(self, x, y):
-        return trunc_sub(y, x)
+        # hom(inf, inf) is the one zero whose payload no operand shows
+        return self.unit if x.tag == y.tag == PINF_TAG else trunc_sub(y, x)
 
     def carrier_grid(self, bound):
         mk = float if self.scalar_kind == "real" else int
@@ -187,7 +191,7 @@ class KbarPlusCartLattice(KbarPlusLattice):
         return cart_max(x, y)
 
     def hom(self, x, y):
-        return cart_implies(x, y)
+        return self.unit if x.tag == y.tag == PINF_TAG else cart_implies(x, y)
 
 
 _LATTICES = {cls.name: cls for cls in

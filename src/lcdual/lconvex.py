@@ -50,22 +50,16 @@ class PointVector:
         return "PointVector(%s)" % inner
 
 
-@dataclass(frozen=True)
-class LConvexSet:
-    scalar_kind: str
-    index: tuple
-    dbm: tuple  # tuple of tuples of ExtScalar
+class LConvexSet(VCategory):
+    """A dbm is a category over kbar; index, dbm and bound are its L-convex names."""
 
-    def __post_init__(self):
-        if len(set(self.index)) != len(self.index):
-            raise ValueError("index labels must be distinct")
-        n = len(self.index)
-        if len(self.dbm) != n or any(len(row) != n for row in self.dbm):
-            raise ValueError("dbm shape does not match the index list")
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(self.index)})
+    def __init__(self, scalar_kind, index, dbm):
+        super().__init__(get_lattice("kbar", scalar_kind), index, dbm)
 
-    def bound(self, v, w):
-        return self.dbm[self._pos[v]][self._pos[w]]
+    scalar_kind = property(lambda self: self.lattice.scalar_kind)
+    index = property(lambda self: self.objects)
+    dbm = property(lambda self: self.hom)
+    bound = VCategory.hom_at
 
 
 @dataclass(frozen=True)
@@ -79,19 +73,14 @@ class RawConstraints:
 class GeneratorSet:
     index: tuple
     points: tuple  # PointVectors, each total over index
+    scalar_kind: str = "int"
 
 
 def make_lcs(index, rows, scalar_kind="int"):
     return LConvexSet(scalar_kind, tuple(index), tuple(tuple(r) for r in rows))
 
 
-def as_category(D):
-    """View the dbm as a category over kbar (used for law checking)."""
-    return VCategory(get_lattice("kbar", D.scalar_kind), D.index, D.dbm)
-
-
-def validate_lcs(D):
-    return validate_category(as_category(D))
+validate_lcs = validate_category
 
 
 def member(D, p):
@@ -118,11 +107,7 @@ def from_generators(S):
     for v in idx:
         rows.append(tuple(ext_inf([ext_sub(p[w], p[v]) for p in S.points])
                           for w in idx))
-    kind = "int"
-    for p in S.points:
-        if any(p[v].is_fin and isinstance(p[v].value, float) for v in idx):
-            kind = "real"
-    return LConvexSet(kind, tuple(idx), tuple(rows))
+    return LConvexSet(S.scalar_kind, tuple(idx), tuple(rows))
 
 
 def closure(c):

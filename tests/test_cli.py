@@ -34,6 +34,15 @@ d: w w -inf
 """
 
 
+# kind: (a valid file, the same file with a broken composition law, its classify2 shape)
+MATRIX_CASES = {
+    "kcategory": (BAND_KCAT, BAND_KCAT.replace("hom: w v 2", "hom: w v -2"), "Band s=1 t=2"),
+    "lconvex": (TWOPOINTS_LCX, TWOPOINTS_LCX.replace("d: v w -inf", "d: v w 1"), "TwoPoints"),
+}
+
+GENS_TEXT = "kind: generators\nscalar: int\nindex: v w\npoint: 0 0\npoint: 1 0\n"
+
+
 @pytest.fixture
 def write(tmp_path):
     def _write(name, text):
@@ -43,13 +52,15 @@ def write(tmp_path):
     return _write
 
 
-def test_validate(write, capsys):
-    path = write("band.kcat", BAND_KCAT)
-    assert main(["validate", path]) == 0
+@pytest.mark.parametrize("kind", sorted(MATRIX_CASES))
+def test_validate(kind, write, capsys):
+    good, broken, _ = MATRIX_CASES[kind]
+    assert main(["validate", write("good.txt", good)]) == 0
     assert capsys.readouterr().out.strip() == "valid"
-    bad = write("bad.kcat", BAND_KCAT.replace("hom: w v 2", "hom: w v -2"))
-    assert main(["validate", bad]) == 1
+    assert main(["validate", write("bad.txt", broken)]) == 1
     assert "composition law" in capsys.readouterr().out
+    assert main(["validate", write("gens.gen", GENS_TEXT)]) == 2
+    assert "expects a kcategory or lconvex file" in capsys.readouterr().err
 
 
 def test_validate_parse_error(write, capsys):
@@ -107,11 +118,14 @@ def test_closure_real_kind_keeps_float_payloads(write, capsys):
 
 
 def test_hull(write, capsys):
-    text = "kind: generators\nscalar: int\nindex: v w\npoint: 0 0\npoint: 1 0\n"
-    path = write("gens.gen", text)
+    path = write("gens.gen", GENS_TEXT)
     assert main(["hull", path]) == 0
     out = capsys.readouterr().out
     assert "d: v w 0" in out and "d: w v 1" in out
+    # no finite coordinate to show the kind: it comes from the header
+    real = write("real.gen", "kind: generators\nscalar: real\nindex: v w\npoint: inf -inf\n")
+    assert main(["hull", real]) == 0
+    assert "scalar: real" in capsys.readouterr().out
 
 
 def test_functors_and_homs(write, capsys):
@@ -146,15 +160,15 @@ def test_leq_needs_two_maps(write, capsys):
     assert main(["leq", d, d, "--map", "v:v,w:w"]) == 2
 
 
-def test_classify2(write, capsys):
-    path = write("band.kcat", BAND_KCAT)
-    assert main(["classify2", path]) == 0
-    assert capsys.readouterr().out.strip() == "Band s=1 t=2"
-    two = write("two.lcx", TWOPOINTS_LCX)
-    assert main(["classify2", two]) == 0
-    assert capsys.readouterr().out.strip() == "TwoPoints"
-    bad = write("bad.kcat", BAND_KCAT.replace("hom: w v 2", "hom: w v -2"))
-    assert main(["classify2", bad]) == 1
+@pytest.mark.parametrize("kind", sorted(MATRIX_CASES))
+def test_classify2(kind, write, capsys):
+    good, broken, shape = MATRIX_CASES[kind]
+    assert main(["classify2", write("good.txt", good)]) == 0
+    assert capsys.readouterr().out.strip() == shape
+    assert main(["classify2", write("bad.txt", broken)]) == 1
+    assert "composition law" in capsys.readouterr().out
+    assert main(["classify2", write("gens.gen", GENS_TEXT)]) == 2
+    assert "expects a kcategory or lconvex file" in capsys.readouterr().err
 
 
 def test_yoneda_check(write, capsys):

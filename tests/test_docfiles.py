@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcdual.cli import main
 from lcdual.scalars import NEG_INF, POS_INF, fin
 from lcdual.docfiles import (
-    parse_document, emit_document, DocumentError,
+    Document, parse_document, emit_document, DocumentError,
     to_category, to_lcs, to_constraints, to_generators,
     from_category, from_lcs,
 )
@@ -75,6 +76,34 @@ def test_from_category_and_lcs():
     assert parse_document(emit_document(from_category(C))).matrix == C.hom
     D = to_lcs(parse_document(LCX_TEXT))
     assert emit_document(from_lcs(D)).startswith("kind: lconvex")
+
+
+@st.composite
+def documents(draw):
+    kind = draw(st.sampled_from(["kcategory", "lconvex", "constraints", "points"]))
+    scalar = draw(st.sampled_from(["int", "real"]))
+    labels = tuple(draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+                                 min_size=1, max_size=3, unique=True)))
+    finite = (st.integers() if scalar == "int"
+              else st.floats(allow_nan=False, allow_infinity=False))
+    entry = st.one_of(st.sampled_from([POS_INF, NEG_INF]), finite.map(fin))
+    row = st.tuples(*[entry] * len(labels))
+    if kind == "points":
+        return Document(kind, scalar, labels, points=tuple(draw(st.lists(row, max_size=3))))
+    return Document(kind, scalar, labels, matrix=tuple(draw(row) for _ in labels))
+
+
+@settings(deadline=None, max_examples=300)
+@given(documents())
+def test_emit_parse_roundtrip_fuzz(doc):
+    text = emit_document(doc)
+    again = parse_document(text)
+    assert again == doc
+    assert emit_document(again) == text
+    if doc.kind == "lconvex":
+        assert from_lcs(to_lcs(doc)) == doc
+    if doc.kind == "kcategory":
+        assert from_category(to_category(doc)) == doc
 
 
 @pytest.mark.parametrize("text,line,frag", [

@@ -2,6 +2,7 @@ import pytest
 
 from lcdual.lattices import get_lattice, check_adjointness, law_violations
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
+from lcdual.categories import make_category, validate_category
 
 
 ALL_NAMES = ["two", "kbar", "kbar_plus", "kbar_plus_cart"]
@@ -62,6 +63,15 @@ def test_real_kind_grid_is_float():
     finite = [x for x in grid if x.is_fin]
     assert all(isinstance(x.value, float) for x in finite)
     assert law_violations(kbar, bound=2) == []
+
+
+@pytest.mark.parametrize("name", ["kbar", "kbar_plus", "kbar_plus_cart"])
+def test_real_kind_zeros_are_float(name):
+    L = get_lattice(name, "real")
+    values = [L.unit, L.inf([]), L.hom(POS_INF, POS_INF), L.hom(fin(1.0), fin(1.0))]
+    assert all(isinstance(x.value, float) for x in values if x.is_fin)
+    C = make_category(L, ("v",), [[fin(1.0)]])
+    assert validate_category(C) == ["identity law fails at v: unit 0.0 is not below hom 1.0"]
 
 
 def test_unknown_lattice_rejected():

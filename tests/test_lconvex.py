@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcdual.scalars import NEG_INF, POS_INF, fin, ext_sub
+from lcdual.lattices import get_lattice
+from lcdual.categories import VCategory, validate_category
+from lcdual.duality import cat_to_lcs
 from lcdual.lconvex import (
     LConvexSet, PointVector, RawConstraints, GeneratorSet,
     make_lcs, validate_lcs, member, from_generators, closure, weight_shift,
     point_sup, point_inf, canonical_points, grid_members, murota_check,
 )
 
-from conftest import random_valid_lcs
+from conftest import kcat, random_valid_lcs
 
 
 def lcs(rows, labels=("v", "w")):
@@ -32,6 +35,38 @@ def pt(**coords):
 
 INF = float("inf")
 NINF = float("-inf")
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+def test_lcs_is_a_category_over_kbar(kind):
+    D = make_lcs(("v", "w"), [[fin(0), fin(1)], [fin(2), fin(0)]], kind)
+    assert isinstance(D, VCategory)
+    assert D.lattice == get_lattice("kbar", kind) and D.scalar_kind == kind
+    assert (D.index, D.dbm, D.bound("w", "v")) == (D.objects, D.hom, D.hom_at("w", "v"))
+
+
+def test_validate_lcs_is_the_category_check():
+    rng = random.Random(21)
+    pool = [NEG_INF, POS_INF] + [fin(v) for v in range(-2, 3)]
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        D = make_lcs("vwx"[:n], [[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        assert validate_lcs(D) == validate_category(D)
+
+
+def test_lcs_equality_and_hash():
+    A = kcat([[0, 1], [1, 0]], labels=("v", "w"))
+    D = cat_to_lcs(A)
+    assert D != A and A != D
+    E = lcs([[0, 1], [1, 0]])
+    assert D == E and hash(D) == hash(E)
+
+
+def test_lcs_shape_checks():
+    with pytest.raises(ValueError):
+        make_lcs(("v", "v"), [[fin(0), fin(0)], [fin(0), fin(0)]])
+    with pytest.raises(ValueError):
+        make_lcs(("v", "w"), [[fin(0), fin(0)], [fin(0)]])
 
 
 def test_member_band():
