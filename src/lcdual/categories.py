@@ -26,6 +26,8 @@ class VCategory:
         n = len(self.objects)
         if len(self.hom) != n or any(len(row) != n for row in self.hom):
             raise ValueError("hom matrix shape does not match the object list")
+        if not all(self.lattice.contains(x) for row in self.hom for x in row):
+            raise ValueError("hom entry outside the %r carrier" % self.lattice)
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(self.objects)})
 
     def hom_at(self, a, b):

@@ -76,12 +76,27 @@ def _load_matrix(path, command):
     return VCategory(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
 
 
+def _report(bad):
+    for msg in bad:
+        print(msg)
+    return 1
+
+
+def _bound(text):
+    """The --bound type: a nonnegative integer."""
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = -1
+    if bound < 0:
+        raise argparse.ArgumentTypeError("invalid bound %r (expected an integer >= 0)" % text)
+    return bound
+
+
 def cmd_validate(args):
     bad = validate_category(_load_matrix(args.file, "validate"))
     if bad:
-        for msg in bad:
-            print(msg)
-        return 1
+        return _report(bad)
     print("valid")
     return 0
 
@@ -174,9 +189,7 @@ def cmd_classify2(args):
         raise DocumentError("classify2 expects exactly two labels")
     bad = validate_category(C)
     if bad:
-        for msg in bad:
-            print(msg)
-        return 1
+        return _report(bad)
     print(classify_two_point(C.hom, C.lattice.scalar_kind).describe())
     return 0
 
@@ -186,9 +199,7 @@ def cmd_yoneda_check(args):
     C = docfiles.to_category(doc)
     bad = validate_category(C)
     if bad:
-        for msg in bad:
-            print(msg)
-        return 1
+        return _report(bad)
     ok = verify_yoneda(C)
     print("true" if ok else "false")
     return 0 if ok else 1
@@ -267,12 +278,12 @@ def build_parser():
 
     p = sub.add_parser("render", help="text picture of a two-index set")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=_bound, default=3)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("laws", help="run the lattice law suite")
     p.add_argument("lattice", help="two | kbar | kbar_plus | kbar_plus_cart")
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=_bound, default=3)
     p.set_defaults(func=cmd_laws)
 
     return parser

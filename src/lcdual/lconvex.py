@@ -15,10 +15,7 @@ without changing the feasible set.
 from dataclasses import dataclass
 from itertools import product
 
-from .scalars import (
-    ExtScalar, NEG_INF, POS_INF, fin, from_num,
-    ext_add, ext_sub, ext_sup, ext_inf, nadd, nsub, format_scalar,
-)
+from .scalars import from_num, ext_add, ext_sub, format_scalar
 from .lattices import get_lattice
 from .categories import VCategory, validate_category
 
@@ -85,9 +82,10 @@ validate_lcs = validate_category
 
 def member(D, p):
     """Membership: every difference constraint holds under extended subtraction."""
-    for v in D.index:
-        for w in D.index:
-            if D.bound(v, w).num < ext_sub(p[w], p[v]).num:
+    coords = [p[v] for v in D.index]
+    for x, row in zip(coords, D.dbm):
+        for y, bound in zip(coords, row):
+            if bound.num < ext_sub(y, x).num:
                 return False
     return True
 
@@ -103,70 +101,52 @@ def from_generators(S):
     for p in S.points:
         for v in idx:
             p[v]  # raises KeyError on arity mismatch
-    rows = []
-    for v in idx:
-        rows.append(tuple(ext_inf([ext_sub(p[w], p[v]) for p in S.points])
-                          for w in idx))
-    return LConvexSet(S.scalar_kind, tuple(idx), tuple(rows))
+    inf = get_lattice("kbar", S.scalar_kind).inf
+    rows = tuple(tuple(inf([ext_sub(p[w], p[v]) for p in S.points]) for w in idx)
+                 for v in idx)
+    return LConvexSet(S.scalar_kind, tuple(idx), rows)
 
 
 def closure(c):
     """Tightest law-satisfying dbm with the same feasible set as c.
 
-    Diagonal entries are first clamped to at most 0, then shortest-path
-    relaxation runs to a fixpoint; indices on strictly negative cycles
-    have their reachable bounds collapsed to -inf, and relaxation is
-    repeated.  Always succeeds: infeasibility of finite points shows up
-    as -inf entries, not as an error.
+    Diagonal entries are first clamped to at most 0, then one
+    Floyd-Warshall pass tightens every bound, and every bound whose path
+    can pass through an index on a strictly negative cycle collapses to
+    -inf.  Always succeeds: infeasibility of finite points shows up as
+    -inf entries, not as an error.
     """
-    idx = list(c.index)
-    n = len(idx)
-    d = [[c.matrix[i][j].num for j in range(n)] for i in range(n)]
+    INF = float("inf")
+    n = len(c.index)
+    d = [[x.num for x in row] for row in c.matrix]
     for i in range(n):
         d[i][i] = min(d[i][i], 0)
-
-    def relax():
-        changed = True
-        passes = 0
-        while changed and passes <= n + 1:
-            changed = False
-            passes += 1
-            for k in range(n):
-                dk = d[k]
-                for i in range(n):
-                    dik = d[i][k]
-                    row = d[i]
-                    for j in range(n):
-                        cand = nadd(dik, dk[j])
-                        if cand < row[j]:
-                            row[j] = cand
-                            changed = True
-
-    relax()
-    while True:
-        negative = [i for i in range(n) if d[i][i] < 0]
-        changed = False
+    # an inf bound is no constraint: skipping it keeps inf + -inf out of the sums
+    for k in range(n):
+        dk = d[k]
+        for row in d:
+            dik = row[k]
+            if dik == INF:
+                continue
+            for j in range(n):
+                dkj = dk[j]
+                if dkj != INF and dik + dkj < row[j]:
+                    row[j] = dik + dkj
+    # One collapse finishes the job: the pass leaves a negative diagonal on
+    # the highest index of every simple negative cycle, and reachability is
+    # already transitive, so the collapsed matrix keeps the triangle law.
+    negative = [v for v in range(n) if d[v][v] < 0]
+    for row in d:
         for v in negative:
-            for i in range(n):
-                if d[i][v] == float("inf"):
-                    continue
+            if row[v] != INF:
                 for j in range(n):
-                    if d[v][j] == float("inf"):
-                        continue
-                    if d[i][j] != float("-inf"):
-                        d[i][j] = float("-inf")
-                        changed = True
-            if d[v][v] != float("-inf"):
-                d[v][v] = float("-inf")
-                changed = True
-        if not changed:
-            break
-        relax()
+                    if d[v][j] != INF:
+                        row[j] = -INF
 
     mk = int if c.scalar_kind == "int" else float
-    rows = tuple(tuple(from_num(x if x in (float("inf"), float("-inf")) else mk(x))
-                       for x in row) for row in d)
-    return LConvexSet(c.scalar_kind, tuple(idx), rows)
+    rows = tuple(tuple(from_num(x if x in (INF, -INF) else mk(x)) for x in row)
+                 for row in d)
+    return LConvexSet(c.scalar_kind, tuple(c.index), rows)
 
 
 def weight_shift(p, alpha, sign="plus"):
@@ -178,14 +158,18 @@ def weight_shift(p, alpha, sign="plus"):
     raise ValueError("sign must be 'plus' or 'minus'")
 
 
+# the real carrier holds every numeric payload, int or float
+_POINT_LATTICE = get_lattice("kbar", "real")
+
+
 def point_sup(points, index=None):
     """Coordinatewise sup (usual min); empty sup is the all-inf point."""
-    return _pointwise(points, index, ext_sup)
+    return _pointwise(points, index, _POINT_LATTICE.sup)
 
 
 def point_inf(points, index=None):
     """Coordinatewise inf (usual max); empty inf is the all-(-inf) point."""
-    return _pointwise(points, index, ext_inf)
+    return _pointwise(points, index, _POINT_LATTICE.inf)
 
 
 def _pointwise(points, index, op):
@@ -213,25 +197,9 @@ def grid_members(D, bound=3):
     """
     if D.scalar_kind != "int":
         raise ValueError("grid enumeration needs the integer scalar kind")
-    idx = D.index
-    n = len(idx)
-    dnum = [[D.bound(v, w).num for w in idx] for v in idx]
-    values = [float("-inf")] + list(range(-bound, bound + 1)) + [float("inf")]
-    out = []
-    for pt in product(values, repeat=n):
-        ok = True
-        for i in range(n):
-            pi = pt[i]
-            row = dnum[i]
-            for j in range(n):
-                if row[j] < nsub(pt[j], pi):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(PointVector({v: from_num(x) for v, x in zip(idx, pt)}))
-    return out
+    grid = product(D.lattice.carrier_grid(bound), repeat=len(D.index))
+    points = (PointVector(zip(D.index, coords)) for coords in grid)
+    return [p for p in points if member(D, p)]
 
 
 def murota_check(points, kind="lset"):

@@ -179,26 +179,6 @@ def cart_implies(x, y):
     return y
 
 
-def ext_sup(xs):
-    """Supremum in the >=-carrier order, i.e. the usual minimum; empty -> inf."""
-    best = None
-    for x in xs:
-        _require_numeric(x)
-        if best is None or x.num < best.num:
-            best = x
-    return POS_INF if best is None else best
-
-
-def ext_inf(xs):
-    """Infimum in the >=-carrier order, i.e. the usual maximum; empty -> -inf."""
-    best = None
-    for x in xs:
-        _require_numeric(x)
-        if best is None or x.num > best.num:
-            best = x
-    return NEG_INF if best is None else best
-
-
 def format_scalar(x):
     if x.tag == NINF_TAG:
         return "-inf"
@@ -237,31 +217,8 @@ def parse_scalar(text, scalar_kind="int"):
     return fin(float(text))
 
 
-# --- numeric-key helpers -------------------------------------------------
-#
-# Hot loops (grid enumeration, closure) work on the numeric keys directly:
-# float('-inf'), exact finite numbers, float('inf').  The special cases of
-# the extension tables are reproduced here so no NaN can appear.
-
-def nadd(a, b):
-    if a == _NUMERIC_POS or b == _NUMERIC_POS:
-        return _NUMERIC_POS
-    if a == _NUMERIC_NEG or b == _NUMERIC_NEG:
-        return _NUMERIC_NEG
-    return a + b
-
-
-def nsub(y, x):
-    if x == _NUMERIC_POS:
-        return _NUMERIC_NEG
-    if x == _NUMERIC_NEG:
-        return _NUMERIC_NEG if y == _NUMERIC_NEG else _NUMERIC_POS
-    if y == _NUMERIC_POS or y == _NUMERIC_NEG:
-        return y
-    return y - x
-
-
 def from_num(n):
+    """The scalar with numeric key n: float infinities become the tags."""
     if n == _NUMERIC_NEG:
         return NEG_INF
     if n == _NUMERIC_POS:

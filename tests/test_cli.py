@@ -1,5 +1,6 @@
 import pytest
 
+from lcdual import cli
 from lcdual.cli import main
 
 
@@ -194,3 +195,20 @@ def test_laws(capsys):
 def test_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.kcat"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_bound_must_be_nonnegative(write, capsys):
+    path = write("band.lcx", BAND_LCX)
+    for argv in (["render", path, "--bound", "-2"], ["laws", "kbar", "--bound", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid bound" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(write, capsys, monkeypatch):
+    def broken(C):
+        raise RuntimeError("broken check")
+    monkeypatch.setattr(cli, "validate_category", broken)
+    assert main(["validate", write("band.kcat", BAND_KCAT)]) == 3
+    assert "internal error: broken check" in capsys.readouterr().err

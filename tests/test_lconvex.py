@@ -1,10 +1,10 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcdual.scalars import NEG_INF, POS_INF, fin, ext_sub
+from lcdual.scalars import NEG_INF, POS_INF, fin, from_num, ext_sub
 from lcdual.lattices import get_lattice
 from lcdual.categories import VCategory, validate_category
 from lcdual.duality import cat_to_lcs
@@ -67,6 +67,16 @@ def test_lcs_shape_checks():
         make_lcs(("v", "v"), [[fin(0), fin(0)], [fin(0), fin(0)]])
     with pytest.raises(ValueError):
         make_lcs(("v", "w"), [[fin(0), fin(0)], [fin(0)]])
+
+
+def test_entries_must_lie_in_the_carrier():
+    with pytest.raises(ValueError, match="carrier"):
+        make_lcs(("v",), [[fin(0.5)]])
+    assert make_lcs(("v",), [[fin(0.5)]], "real").dbm == ((fin(0.5),),)
+    pts = (pt(v=0.5, w=0.0),)
+    with pytest.raises(ValueError):
+        from_generators(GeneratorSet(("v", "w"), pts))
+    assert from_generators(GeneratorSet(("v", "w"), pts, "real")).bound("v", "w") == fin(-0.5)
 
 
 def test_member_band():
@@ -144,6 +154,49 @@ def test_closure_idempotent(seed):
     D = random_valid_lcs(rng, rng.randint(1, 4))
     again = closure(RawConstraints("int", D.index, D.dbm))
     assert again.dbm == D.dbm
+
+
+def _closure_by_definition(m):
+    """The closed matrix of m (numeric keys), straight from the definition.
+
+    After the diagonal is clamped to at most 0, entry (i, j) is the least
+    weight of a simple path from i to j (a simple cycle when i == j, the
+    self-loop included), or -inf when some k with i ~> k ~> j lies on a
+    negative simple cycle.  An inf entry is no edge.
+    """
+    n = len(m)
+    d = [[min(x, 0) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+    def weight(path):
+        steps = [d[a][b] for a, b in zip(path, path[1:])]
+        return INF if INF in steps else sum(steps)
+
+    best = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            others = [k for k in range(n) if k not in (i, j)]
+            row.append(min(weight((i,) + mid + (j,))
+                           for r in range(len(others) + 1) for mid in permutations(others, r)))
+        best.append(row)
+    reach = [[i == j or best[i][j] < INF for j in range(n)] for i in range(n)]
+    negative = [k for k in range(n) if best[k][k] < 0]
+    return [[NINF if any(reach[i][k] and reach[k][j] for k in negative) else best[i][j]
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+def test_closure_matches_definition(kind):
+    rng = random.Random(31)
+    # weighted toward inf and positive bounds, so that plain tightening is common too
+    pool = [INF] * 8 + [NINF] + list(range(-3, 4)) + list(range(1, 4)) * 3
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        m = [[rng.choice(pool) / 2 if kind == "real" else rng.choice(pool)
+              for _ in range(n)] for _ in range(n)]
+        raw = tuple(tuple(from_num(x) for x in row) for row in m)
+        got = closure(RawConstraints(kind, tuple("vwxyz"[:n]), raw))
+        assert [[x.num for x in row] for row in got.dbm] == _closure_by_definition(m)
 
 
 def test_weight_shift():

@@ -5,8 +5,9 @@ from lcdual.scalars import (
     NEG_INF, POS_INF, TRUE, FALSE, fin,
     ext_add, ext_sub, trunc_add, trunc_sub,
     bool_and, bool_implies, cart_max, cart_implies,
-    ext_sup, ext_inf, parse_scalar, format_scalar,
+    parse_scalar, format_scalar,
 )
+from lcdual.lattices import get_lattice
 
 
 EXT_GRID = [NEG_INF] + [fin(v) for v in range(-3, 4)] + [POS_INF]
@@ -74,11 +75,12 @@ def test_cart_ops():
 
 
 def test_sup_inf_conventions():
-    assert ext_sup([]) == POS_INF
-    assert ext_inf([]) == NEG_INF
-    assert ext_inf([NEG_INF, fin(2), fin(5)]) == fin(5)
-    assert ext_sup([fin(3)]) == fin(3)
-    assert ext_sup([fin(3), NEG_INF]) == NEG_INF
+    K = get_lattice("kbar")
+    assert K.sup([]) == POS_INF
+    assert K.inf([]) == NEG_INF
+    assert K.inf([NEG_INF, fin(2), fin(5)]) == fin(5)
+    assert K.sup([fin(3)]) == fin(3)
+    assert K.sup([fin(3), NEG_INF]) == NEG_INF
 
 
 def test_unit_law_over_grid():
