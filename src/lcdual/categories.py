@@ -8,7 +8,6 @@ identity law says d(a,a) is 0 or -inf.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .scalars import ExtScalar, format_scalar
 from .lattices import EnrichingLattice
@@ -101,10 +100,34 @@ def _increasing(src, dst, leq, c):
 
 
 def _index_maps(src, dst, leq):
-    """Every index map c that passes the increasing condition, lexicographic."""
-    for c in product(range(len(dst)), repeat=len(src)):
-        if _increasing(src, dst, leq, c):
+    """Every index map c that passes the increasing condition, lexicographic.
+
+    Depth-first search with forward checking (Haralick & Elliott 1980):
+    objects are assigned in src order, values tried in dst order, and each
+    assignment narrows every later object's domain to the values compatible
+    with it both ways; an empty domain cuts the branch.  leq runs only to fill
+    ok[i][k][x][y] = leq(src[i][k], dst[x][y]), |src|^2 |dst|^2 times.
+    """
+    ok = [[[[leq(s, d) for d in drow] for drow in dst] for s in row] for row in src]
+
+    def extend(c, domains):
+        if not domains:
             yield c
+            return
+        i, later = len(c), domains[1:]
+        for x in domains[0]:
+            narrowed = []
+            for k, dom in enumerate(later, i + 1):
+                fwd, back = ok[i][k][x], ok[k][i]
+                dom = [y for y in dom if fwd[y] and back[y][x]]
+                if not dom:
+                    break
+                narrowed.append(dom)
+            else:
+                yield from extend(c + (x,), narrowed)
+
+    yield from extend((), [[x for x in range(len(dst)) if ok[i][i][x][x]]
+                           for i in range(len(src))])
 
 
 def is_functor(F):

@@ -13,11 +13,12 @@ without changing the feasible set.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from fractions import Fraction
+from sys import float_info
 
 from .scalars import from_num, ext_add, ext_sub, format_scalar
 from .lattices import get_lattice
-from .categories import VCategory, validate_category
+from .categories import VCategory, validate_category, self_enrichment, _index_maps
 
 
 class PointVector:
@@ -110,28 +111,37 @@ def from_generators(S):
 def closure(c):
     """Tightest law-satisfying dbm with the same feasible set as c.
 
-    Diagonal entries are first clamped to at most 0, then one
+    Diagonal entries are first clamped to 0 or -inf, then one
     Floyd-Warshall pass tightens every bound, and every bound whose path
     can pass through an index on a strictly negative cycle collapses to
-    -inf.  Always succeeds: infeasibility of finite points shows up as
-    -inf entries, not as an error.
+    -inf.  Infeasibility of finite points shows up as -inf entries, not as
+    an error; a real bound that closes beyond the float range raises ValueError.
     """
-    INF = float("inf")
+    INF, NINF = float("inf"), float("-inf")
     n = len(c.index)
     d = [[x.num for x in row] for row in c.matrix]
+    # Each step of the pass at most doubles the largest finite bound.  Where
+    # that could pass 2**1023, close exactly: a later step may still lower a
+    # sum beyond the float range, or a negative cycle swallow it.
+    if max(map(abs, set().union(*d) - {INF, NINF}), default=0) > 2.0 ** (1023 - n):
+        d = [[x if x in (INF, NINF) else Fraction(x) for x in row] for row in d]
+    # a negative diagonal is a negative cycle: -inf at once, so no lap is summed twice
     for i in range(n):
-        d[i][i] = min(d[i][i], 0)
+        d[i][i] = 0 if d[i][i] >= 0 else NINF
     # an inf bound is no constraint: skipping it keeps inf + -inf out of the sums
     for k in range(n):
         dk = d[k]
-        for row in d:
+        for i, row in enumerate(d):
             dik = row[k]
-            if dik == INF:
-                continue
-            for j in range(n):
-                dkj = dk[j]
-                if dkj != INF and dik + dkj < row[j]:
-                    row[j] = dik + dkj
+            if dik != INF:
+                for j, dkj in enumerate(dk):
+                    if dkj != INF:
+                        try:
+                            s = dik + dkj
+                        except OverflowError:  # -inf plus a number too large for a float
+                            s = NINF
+                        if s < row[j]:
+                            row[j] = NINF if i == j else s
     # One collapse finishes the job: the pass leaves a negative diagonal on
     # the highest index of every simple negative cycle, and reachability is
     # already transitive, so the collapsed matrix keeps the triangle law.
@@ -141,11 +151,16 @@ def closure(c):
             if row[v] != INF:
                 for j in range(n):
                     if d[v][j] != INF:
-                        row[j] = -INF
+                        row[j] = NINF
 
     mk = int if c.scalar_kind == "int" else float
-    rows = tuple(tuple(from_num(x if x in (INF, -INF) else mk(x)) for x in row)
-                 for row in d)
+    try:
+        rows = tuple(tuple(from_num(x if x in (INF, NINF) else mk(x)) for x in row)
+                     for row in d)
+    except OverflowError:  # only an exact real bound can be out of range
+        v, w = next((v, w) for v, row in zip(c.index, d) for w, x in zip(c.index, row)
+                    if x not in (INF, NINF) and abs(x) > float_info.max)
+        raise ValueError("closure leaves the float range at (%s, %s)" % (v, w)) from None
     return LConvexSet(c.scalar_kind, tuple(c.index), rows)
 
 
@@ -197,9 +212,11 @@ def grid_members(D, bound=3):
     """
     if D.scalar_kind != "int":
         raise ValueError("grid enumeration needs the integer scalar kind")
-    grid = product(D.lattice.carrier_grid(bound), repeat=len(D.index))
-    points = (PointVector(zip(D.index, coords)) for coords in grid)
-    return [p for p in points if member(D, p)]
+    # members are the functors from D into the grid enriched over itself:
+    # p is one iff dbm[v][w] is below hom(p(v), p(w)) in kbar
+    L, grid = D.lattice, D.lattice.carrier_grid(bound)
+    return [PointVector(zip(D.index, (grid[j] for j in c)))
+            for c in _index_maps(D.dbm, self_enrichment(L, grid).hom, L.leq)]
 
 
 def murota_check(points, kind="lset"):

@@ -118,6 +118,30 @@ def test_closure_real_kind_keeps_float_payloads(write, capsys):
     assert "d: v v 0.0" in out and "d: w w 0.0" in out and "d: v w 1.5" in out
 
 
+@pytest.mark.parametrize("bound", ["1e308", "-1e308"])
+def test_closure_real_kind_float_overflow_exits_2(write, capsys, bound):
+    text = ("kind: constraints\nscalar: real\nindex: v w x\n"
+            "d: v v 0\nd: v w %s\nd: v x inf\n"
+            "d: w v inf\nd: w w 0\nd: w x %s\n"
+            "d: x v inf\nd: x w inf\nd: x x 0\n" % (bound, bound))
+    path = write("huge.cons", text)
+    assert main(["closure", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "closure leaves the float range at (v, x)" in captured.err
+
+
+def test_closure_real_kind_partial_overflow_closes(write, capsys):
+    text = ("kind: constraints\nscalar: real\nindex: v w x y\n"
+            "d: v v 0\nd: v w 1e308\nd: v x inf\nd: v y 0\n"
+            "d: w v inf\nd: w w 0\nd: w x 1e308\nd: w y inf\n"
+            "d: x v inf\nd: x w inf\nd: x x 0\nd: x y inf\n"
+            "d: y v inf\nd: y w inf\nd: y x 0\nd: y y 0\n")
+    path = write("lowered.cons", text)
+    assert main(["closure", path]) == 0
+    assert "d: v x 0.0" in capsys.readouterr().out
+
+
 def test_hull(write, capsys):
     path = write("gens.gen", GENS_TEXT)
     assert main(["hull", path]) == 0

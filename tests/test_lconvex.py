@@ -140,6 +140,75 @@ def test_closure_examples():
     assert clamped.dbm == lcs([[0, 1], [1, 0]]).dbm
 
 
+def _chain(zero, step, n=3):
+    """A path through n indices with every step `step`, other off-diagonal bounds open."""
+    return tuple(tuple(zero if j == i else step if j == i + 1 else POS_INF for j in range(n))
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_closure_rejects_real_bounds_beyond_the_float_range(sign):
+    with pytest.raises(ValueError, match=r"float range at \(v, x\)"):
+        closure(RawConstraints("real", ("v", "w", "x"), _chain(fin(0.0), fin(sign * 1e308))))
+    # every bound below 2**1023, but three steps leave the float range
+    with pytest.raises(ValueError, match=r"float range at \(v, y\)"):
+        closure(RawConstraints("real", ("v", "w", "x", "y"), _chain(fin(0.0), fin(sign * 8e307), 4)))
+    # integer bounds of any size close exactly
+    D = closure(RawConstraints("int", ("v", "w", "x"), _chain(fin(0), fin(sign * 10 ** 308))))
+    assert D.bound("v", "x") == fin(sign * 2 * 10 ** 308)
+
+
+def test_closure_lowers_partial_sums_beyond_the_float_range():
+    # v -> w -> x leaves the float range when w is relaxed, but the later
+    # index y closes (v, x) to 0
+    z, big = fin(0.0), fin(1e308)
+    D = closure(RawConstraints("real", ("v", "w", "x", "y"),
+                               ((z, big, POS_INF, z), (POS_INF, z, big, POS_INF),
+                                (POS_INF, POS_INF, z, POS_INF), (POS_INF, POS_INF, z, z))))
+    assert D.bound("v", "x") == z and D.bound("w", "x") == big
+    # an integer bound too large for a float next to a negative cycle, either way round
+    big = fin(10 ** 400)
+    for rows, want in ((((fin(0), big), (POS_INF, fin(-1))), ((fin(0), NEG_INF), (POS_INF, NEG_INF))),
+                       (((fin(-1), big), (POS_INF, fin(0))), ((NEG_INF, NEG_INF), (POS_INF, fin(0))))):
+        assert closure(RawConstraints("int", ("v", "w"), rows)).dbm == want
+
+
+def test_closure_exact_pass_agrees_with_the_float_pass():
+    # scaling by a power of two is exact, and 2**1018 pushes most matrices
+    # past the float-pass limit 2**(1023 - n) while every closed bound still fits
+    rng = random.Random(17)
+    exact = 0
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        pool = [NEG_INF, POS_INF, POS_INF] + [fin(v / 2) for v in range(-8, 11)]
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        scale = lambda x: fin(x.value * 2.0 ** 1018) if x.is_fin else x
+        big = [[scale(x) for x in row] for row in rows]
+        exact += any(x.is_fin and abs(x.value) > 2.0 ** (1023 - n) for row in big for x in row)
+        index = tuple("abcdef"[:n])
+        want = closure(RawConstraints("real", index, rows))
+        got = closure(RawConstraints("real", index, big))
+        assert got.dbm == tuple(tuple(scale(x) for x in row) for row in want.dbm)
+    assert exact > 50
+
+
+def test_closure_collapses_huge_real_negative_cycles():
+    # doubling the cycle's sum at each step of the pass would leave the
+    # float range; the cycle collapses to -inf instead
+    n = 12
+    rows = [[fin(0.0) if i == j else fin(-1e306) if j == (i + 1) % n else fin(1e300)
+             for j in range(n)] for i in range(n)]
+    D = closure(RawConstraints("real", tuple("i%d" % i for i in range(n)), rows))
+    assert all(x == NEG_INF for row in D.dbm for x in row)
+    # v reaches x through w, which lies on a negative cycle: the overflowing
+    # partial sum -1e308 + -1e308 gives way to -inf
+    big = fin(-1e308)
+    D = closure(RawConstraints("real", ("v", "w", "x"),
+                               ((fin(0.0), big, POS_INF), (POS_INF, fin(-1.0), big),
+                                (POS_INF, POS_INF, fin(0.0)))))
+    assert D.bound("v", "x") == NEG_INF and D.bound("x", "x") == fin(0.0)
+
+
 def test_closure_always_valid():
     rng = random.Random(9)
     for _ in range(100):
@@ -264,6 +333,28 @@ def test_grid_members_against_direct_check():
         if ok:
             expected.append(p)
     assert got == expected
+
+
+def _grid_by_member(D, bound):
+    """Every grid point, filtered through `member`, in lexicographic order."""
+    grid = D.lattice.carrier_grid(bound)
+    points = (PointVector(zip(D.index, coords)) for coords in product(grid, repeat=len(D.index)))
+    return [p for p in points if member(D, p)]
+
+
+def test_grid_members_matches_the_member_filter():
+    rng = random.Random(4242)
+    pool = [NEG_INF, POS_INF] + [fin(v) for v in range(-3, 4)]
+    found = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        raw = make_lcs("vwx"[:n], [[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        for D in (raw, closure(RawConstraints("int", raw.index, raw.dbm))):
+            for bound in range(4):
+                want = _grid_by_member(D, bound)
+                assert grid_members(D, bound) == want
+                found += len(want)
+    assert found
 
 
 def test_grid_members_whole_plane():

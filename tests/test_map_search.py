@@ -4,7 +4,8 @@ Both searches run on one shared index-map engine, so comparing them with
 each other (acceptance criterion 4) cannot catch a fault in that engine.
 Here every index map is tried and checked by the definitions, written out
 independently: functors by the per-pair increasing condition, homs by
-pulling back grid members and canonical points.
+pulling back grid members and canonical points.  A work bound catches a
+search that falls back to trying every map.
 """
 
 import random
@@ -13,10 +14,10 @@ from itertools import product
 import pytest
 
 from lcdual.lattices import get_lattice
-from lcdual.categories import make_category, enumerate_functors
+from lcdual.categories import make_category, enumerate_functors, _index_maps
 from lcdual.scalars import POS_INF, fin
 from lcdual.lconvex import (
-    PointVector, RawConstraints, closure, member, grid_members, canonical_points,
+    PointVector, RawConstraints, closure, member, grid_members, canonical_points, make_lcs,
 )
 from lcdual.duality import enumerate_homs
 
@@ -68,7 +69,10 @@ def random_category(rng, L, n, labels):
                                          for _ in range(n)])
 
 
-@pytest.mark.parametrize("lattice", ["kbar", "two", "kbar_plus"])
+LATTICES = ["kbar", "two", "kbar_plus", "kbar_plus_cart"]
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
 def test_functor_search_matches_oracle(lattice):
     L = get_lattice(lattice)
     rng = random.Random("functors/" + lattice)
@@ -103,3 +107,51 @@ def test_collapsed_case_keeps_every_map(n):
     assert functor_images(A, A) == oracle_functors(A, A) == list(product(A.objects, repeat=n))
     D = lcs([[NINF] * n] * n, labels=("v", "w", "x")[:n])
     assert hom_images(D, D) == oracle_homs(D, D, 2) == list(product(D.index, repeat=n))
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_empty_and_single_object_searches(lattice):
+    L = get_lattice(lattice)
+    rng = random.Random("edges/" + lattice)
+    empty = make_category(L, (), ())
+    for _ in range(10):
+        one = random_category(rng, L, 1, ("a",))
+        some = random_category(rng, L, rng.randint(1, 3), ("x", "y", "z"))
+        assert functor_images(empty, some) == [()]
+        assert functor_images(empty, empty) == [()]
+        assert functor_images(some, empty) == []
+        for A, B in ((one, some), (some, one), (one, one)):
+            assert functor_images(A, B) == oracle_functors(A, B)
+
+
+def test_empty_and_single_index_hom_searches():
+    rng = random.Random(77)
+    empty = make_lcs((), ())
+    for _ in range(10):
+        one = random_lcs(rng, 1, ("v",))
+        some = random_lcs(rng, rng.randint(1, 3), ("p", "q", "r"))
+        assert hom_images(some, empty) == [()]
+        assert hom_images(empty, some) == []
+        for D, E in ((one, some), (some, one), (one, one)):
+            assert hom_images(D, E) == oracle_homs(D, E, 3)
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_search_work_is_bounded_by_the_condition_table(lattice):
+    L = get_lattice(lattice)
+    rng = random.Random("work/" + lattice)
+    pairs = [(random_category(rng, L, rng.randint(0, 4), "abcd"),
+              random_category(rng, L, rng.randint(0, 5), "vwxyz")) for _ in range(30)]
+    if lattice == "kbar":
+        collapsed = kcat([[NINF] * 4] * 4)
+        pairs.append((collapsed, kcat([[NINF] * 5] * 5)))
+    for A, B in pairs:
+        calls = []
+
+        def leq(s, d):
+            calls.append(1)
+            return L.leq(s, d)
+
+        got = list(_index_maps(A.hom, B.hom, leq))
+        assert [tuple(B.objects[j] for j in c) for c in got] == oracle_functors(A, B)
+        assert len(calls) <= len(A.objects) ** 2 * len(B.objects) ** 2
