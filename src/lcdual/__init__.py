@@ -2,7 +2,7 @@
 difference-bound form, and the duality between them."""
 
 from .scalars import (
-    ExtScalar, NEG_INF, POS_INF, TRUE, FALSE, fin,
+    NEG_INF, POS_INF, TRUE, FALSE, fin,
     ext_add, ext_sub, trunc_add, trunc_sub,
     parse_scalar, format_scalar,
 )

@@ -9,7 +9,7 @@ identity law says d(a,a) is 0 or -inf.
 
 from dataclasses import dataclass
 
-from .scalars import ExtScalar, format_scalar
+from .scalars import format_scalar
 from .lattices import EnrichingLattice
 
 
@@ -17,7 +17,7 @@ from .lattices import EnrichingLattice
 class VCategory:
     lattice: EnrichingLattice
     objects: tuple
-    hom: tuple  # tuple of tuples of ExtScalar, hom[i][j] = Hom(objects[i], objects[j])
+    hom: tuple  # tuple of tuples of lattice values, hom[i][j] = Hom(objects[i], objects[j])
 
     def __post_init__(self):
         if len(set(self.objects)) != len(self.objects):
@@ -163,10 +163,9 @@ def functor_hom(F, G):
 
 
 def canonical_leq(F, G):
-    """F below G iff unit is below hom(F a, G a) for every object a."""
-    _check_parallel(F, G)
-    B, L = F.codomain, F.codomain.lattice
-    return all(L.leq(L.unit, B.hom_at(F(a), G(a))) for a in F.domain.objects)
+    """F below G iff unit is below the hom-value, i.e. below hom(F a, G a) for every a."""
+    L = F.codomain.lattice
+    return L.leq(L.unit, functor_hom(F, G))
 
 
 def _check_parallel(F, G):
@@ -193,7 +192,7 @@ def self_enrichment(L, carrier):
 @dataclass(frozen=True)
 class Presheaf:
     base: VCategory
-    values: tuple  # pairs (object, ExtScalar) in base order
+    values: tuple  # pairs (object, lattice value) in base order
 
     def __post_init__(self):
         if tuple(a for a, _ in self.values) != self.base.objects:

@@ -8,7 +8,7 @@ swap and stay distinct.
 
 from dataclasses import dataclass
 
-from .scalars import NEG_INF, POS_INF, fin, from_num, format_scalar
+from .scalars import NEG_INF, POS_INF, format_scalar
 from .lattices import get_lattice
 from .categories import VCategory, validate_category
 from .lconvex import grid_members
@@ -51,8 +51,8 @@ def _swap(m):
     return ((m[1][1], m[1][0]), (m[0][1], m[0][0]))
 
 
-def _flat_nums(m):
-    return (m[0][0].num, m[0][1].num, m[1][0].num, m[1][1].num)
+def _flat(m):
+    return (m[0][0], m[0][1], m[1][0], m[1][1])
 
 
 def classify_two_point(m, scalar_kind="int"):
@@ -68,38 +68,37 @@ def classify_two_point(m, scalar_kind="int"):
     if validate_category(cat):
         return None
     swapped_m = _swap(m)
-    if _flat_nums(swapped_m) < _flat_nums(m):
+    if _flat(swapped_m) < _flat(m):
         canonical, swapped = swapped_m, True
     else:
         canonical, swapped = m, False
-    d00, d01, d10, d11 = _flat_nums(canonical)
-    ninf, pinf = float("-inf"), float("inf")
+    d00, d01, d10, d11 = _flat(canonical)
 
     if d00 == 0 and d11 == 0:
-        if d01 == pinf and d10 == pinf:
+        if d01 == POS_INF and d10 == POS_INF:
             return TwoPointShape(WHOLE_PLANE, (), swapped)
-        if d01 == ninf or d10 == ninf:
+        if d01 == NEG_INF or d10 == NEG_INF:
             return TwoPointShape(ORTHOGONAL_LINES, (), swapped)
-        if d01 == pinf or d10 == pinf:
-            s = d01 if d01 != pinf else d10
-            return TwoPointShape(HALF_PLANE, (from_num(s),), swapped)
-        return TwoPointShape(BAND, (from_num(d01), from_num(d10)), swapped)
+        if d01 == POS_INF or d10 == POS_INF:
+            s = d01 if d01 != POS_INF else d10
+            return TwoPointShape(HALF_PLANE, (s,), swapped)
+        return TwoPointShape(BAND, (d01, d10), swapped)
     diag = sorted((d00, d11))
-    if diag == [ninf, 0]:
+    if diag == [NEG_INF, 0]:
         # orient relative to the point with diagonal 0
         if d00 == 0:
             a, b = d01, d10  # 0-point -> (-inf)-point, back
         else:
             a, b = d10, d01
-        if a == pinf and b == pinf:
+        if a == POS_INF and b == POS_INF:
             return TwoPointShape(PARALLEL_LINES, (), swapped)
-        if a == ninf:
+        if a == NEG_INF:
             return TwoPointShape(LINE_AND_POINT_F, (), swapped)
         return TwoPointShape(LINE_AND_POINT_G, (), swapped)
     # both diagonals -inf
-    if d01 == pinf and d10 == pinf:
+    if d01 == POS_INF and d10 == POS_INF:
         return TwoPointShape(FOUR_POINTS, (), swapped)
-    if d01 == ninf and d10 == ninf:
+    if d01 == NEG_INF and d10 == NEG_INF:
         return TwoPointShape(TWO_POINTS, (), swapped)
     return TwoPointShape(THREE_POINTS, (), swapped)
 
@@ -112,11 +111,11 @@ def exhaustive_partition(grid_bound=2):
     matrices); an empty anomaly list certifies that the ten families
     partition the valid matrices over this grid.
     """
-    values = [NEG_INF] + [fin(v) for v in range(-grid_bound, grid_bound + 1)] + [POS_INF]
+    L = get_lattice("kbar")
+    values = L.carrier_grid(grid_bound)
     counts = {f: 0 for f in FAMILIES}
     invalid = 0
     anomalies = []
-    L = get_lattice("kbar", "int")
     for d00 in values:
         for d01 in values:
             for d10 in values:
@@ -150,13 +149,14 @@ def render_region(D, bound=3):
         raise ValueError("rendering needs the integer scalar kind")
     v, w = D.index
     members = {(p[v], p[w]) for p in grid_members(D, bound)}
-    axis = [NEG_INF] + [fin(x) for x in range(-bound, bound + 1)] + [POS_INF]
+    axis = get_lattice("kbar").carrier_grid(bound)
+    border = (NEG_INF, POS_INF)
     lines = ["bound=%d index=%s,%s" % (bound, v, w)]
     for y in reversed(axis):
         row = []
         for x in axis:
             if (x, y) in members:
-                row.append("*" if (not x.is_fin or not y.is_fin) else "#")
+                row.append("*" if x in border or y in border else "#")
             else:
                 row.append(".")
         lines.append("".join(row))

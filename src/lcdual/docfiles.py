@@ -40,7 +40,7 @@ class Document:
     scalar: str
     labels: tuple
     matrix: tuple = None       # for matrix kinds
-    points: tuple = field(default=None)  # for point kinds: tuples of ExtScalar
+    points: tuple = field(default=None)  # for point kinds: tuples of scalars
 
     @property
     def entry_key(self):

@@ -171,7 +171,7 @@ def hom_leq_pointwise(phi, psi, bound=3):
     for p in grid_members(D, bound):
         fp, gp = pullback(phi, p), pullback(psi, p)
         for w in phi.codomain.index:
-            if not fp[w].num >= gp[w].num:
+            if not fp[w] >= gp[w]:
                 return False
     return True
 

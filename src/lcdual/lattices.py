@@ -11,9 +11,8 @@ instances are a closed enumeration: their empty-sup/inf conventions and
 infinity tables are forced, not configurable.
 """
 
-from . import scalars
 from .scalars import (
-    ExtScalar, NEG_INF, POS_INF, TRUE, FALSE, PINF_TAG, fin,
+    NEG_INF, POS_INF, TRUE, FALSE,
     ext_add, ext_sub, trunc_add, trunc_sub,
     bool_and, bool_implies, cart_max, cart_implies,
     format_scalar,
@@ -53,6 +52,14 @@ class EnrichingLattice:
         """Finite slice of the carrier used by exhaustive law checks."""
         raise NotImplementedError
 
+    def _checked(self, xs):
+        """xs as a list, each member checked to lie in the carrier."""
+        xs = list(xs)
+        for x in xs:
+            if not self.contains(x):
+                raise ValueError("outside carrier: %s" % format_scalar(x))
+        return xs
+
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.scalar_kind)
 
@@ -72,10 +79,10 @@ class TwoLattice(EnrichingLattice):
     unit = TRUE
 
     def contains(self, x):
-        return isinstance(x, ExtScalar) and x.is_bool
+        return x is TRUE or x is FALSE
 
     def leq(self, x, y):
-        return x == FALSE or y == TRUE
+        return x is FALSE or y is TRUE
 
     def tensor(self, x, y):
         return bool_and(x, y)
@@ -84,18 +91,10 @@ class TwoLattice(EnrichingLattice):
         return bool_implies(x, y)
 
     def sup(self, xs):
-        xs = list(xs)
-        for x in xs:
-            if not self.contains(x):
-                raise ValueError("not a truth value: %s" % format_scalar(x))
-        return TRUE if any(x == TRUE for x in xs) else FALSE
+        return TRUE if TRUE in self._checked(xs) else FALSE
 
     def inf(self, xs):
-        xs = list(xs)
-        for x in xs:
-            if not self.contains(x):
-                raise ValueError("not a truth value: %s" % format_scalar(x))
-        return FALSE if any(x == FALSE for x in xs) else TRUE
+        return FALSE if FALSE in self._checked(xs) else TRUE
 
     def carrier_grid(self, bound):
         return [FALSE, TRUE]
@@ -107,34 +106,26 @@ class _NumericLattice(EnrichingLattice):
     def __init__(self, scalar_kind="int"):
         super().__init__(scalar_kind)
         # the scalar ops cannot see the kind, so the lattice owns its zero
-        self.unit = fin(0.0 if scalar_kind == "real" else 0)
+        self.unit = 0.0 if scalar_kind == "real" else 0
 
     def leq(self, x, y):
-        return x.num >= y.num
+        return x >= y
 
     def sup(self, xs):
         # lattice sup = usual minimum; empty sup is the lattice bottom.
-        best = None
-        for x in xs:
-            if not self.contains(x):
-                raise ValueError("outside carrier: %s" % format_scalar(x))
-            if best is None or x.num < best.num:
-                best = x
-        return POS_INF if best is None else best
+        return min(self._checked(xs), default=POS_INF)
 
     def inf(self, xs):
-        best = None
-        for x in xs:
-            if not self.contains(x):
-                raise ValueError("outside carrier: %s" % format_scalar(x))
-            if best is None or x.num > best.num:
-                best = x
-        return self._top if best is None else best
+        return max(self._checked(xs), default=self._top)
 
     def _fin_ok(self, v):
-        if self.scalar_kind == "int":
-            return isinstance(v, int)
-        return isinstance(v, (int, float))
+        """An int (not a bool), or for the real kind also a finite float."""
+        return type(v) is int or (self.scalar_kind == "real" and type(v) is float
+                                  and NEG_INF < v < POS_INF)
+
+    def _grid(self, lo, bound):
+        mk = float if self.scalar_kind == "real" else int
+        return [mk(v) for v in range(lo, bound + 1)] + [POS_INF]
 
 
 class KbarLattice(_NumericLattice):
@@ -144,9 +135,7 @@ class KbarLattice(_NumericLattice):
     _top = NEG_INF
 
     def contains(self, x):
-        if not isinstance(x, ExtScalar) or x.is_bool:
-            return False
-        return not x.is_fin or self._fin_ok(x.value)
+        return x == POS_INF or x == NEG_INF or self._fin_ok(x)
 
     def tensor(self, x, y):
         return ext_add(x, y)
@@ -155,8 +144,7 @@ class KbarLattice(_NumericLattice):
         return ext_sub(y, x)
 
     def carrier_grid(self, bound):
-        mk = float if self.scalar_kind == "real" else int
-        return [NEG_INF] + [fin(mk(v)) for v in range(-bound, bound + 1)] + [POS_INF]
+        return [NEG_INF] + self._grid(-bound, bound)
 
 
 class KbarPlusLattice(_NumericLattice):
@@ -166,20 +154,17 @@ class KbarPlusLattice(_NumericLattice):
     _top = property(lambda self: self.unit)
 
     def contains(self, x):
-        if not isinstance(x, ExtScalar) or x.is_bool or x.tag == scalars.NINF_TAG:
-            return False
-        return not x.is_fin or (self._fin_ok(x.value) and x.value >= 0)
+        return x == POS_INF or (self._fin_ok(x) and x >= 0)
 
     def tensor(self, x, y):
         return trunc_add(x, y)
 
     def hom(self, x, y):
-        # hom(inf, inf) is the one zero whose payload no operand shows
-        return self.unit if x.tag == y.tag == PINF_TAG else trunc_sub(y, x)
+        # hom(inf, inf) is the one zero whose kind no operand shows
+        return self.unit if x == y == POS_INF else trunc_sub(y, x)
 
     def carrier_grid(self, bound):
-        mk = float if self.scalar_kind == "real" else int
-        return [fin(mk(v)) for v in range(0, bound + 1)] + [POS_INF]
+        return self._grid(0, bound)
 
 
 class KbarPlusCartLattice(KbarPlusLattice):
@@ -191,7 +176,7 @@ class KbarPlusCartLattice(KbarPlusLattice):
         return cart_max(x, y)
 
     def hom(self, x, y):
-        return self.unit if x.tag == y.tag == PINF_TAG else cart_implies(x, y)
+        return self.unit if x == y == POS_INF else cart_implies(x, y)
 
 
 _LATTICES = {cls.name: cls for cls in

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from sys import float_info
 
-from .scalars import from_num, ext_add, ext_sub, format_scalar
+from .scalars import NEG_INF, POS_INF, ext_add, ext_sub, format_scalar
 from .lattices import get_lattice
 from .categories import VCategory, validate_category, self_enrichment, _index_maps
 
@@ -66,6 +66,11 @@ class RawConstraints:
     index: tuple
     matrix: tuple  # same shape as a dbm, no law requirement
 
+    def __post_init__(self):
+        L = get_lattice("kbar", self.scalar_kind)
+        if not all(L.contains(x) for row in self.matrix for x in row):
+            raise ValueError("constraint entry outside the %r carrier" % L)
+
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -86,7 +91,7 @@ def member(D, p):
     coords = [p[v] for v in D.index]
     for x, row in zip(coords, D.dbm):
         for y, bound in zip(coords, row):
-            if bound.num < ext_sub(y, x).num:
+            if bound < ext_sub(y, x):
                 return False
     return True
 
@@ -117,9 +122,9 @@ def closure(c):
     -inf.  Infeasibility of finite points shows up as -inf entries, not as
     an error; a real bound that closes beyond the float range raises ValueError.
     """
-    INF, NINF = float("inf"), float("-inf")
+    INF, NINF = POS_INF, NEG_INF
     n = len(c.index)
-    d = [[x.num for x in row] for row in c.matrix]
+    d = [list(row) for row in c.matrix]
     # Each step of the pass at most doubles the largest finite bound.  Where
     # that could pass 2**1023, close exactly: a later step may still lower a
     # sum beyond the float range, or a negative cycle swallow it.
@@ -155,7 +160,7 @@ def closure(c):
 
     mk = int if c.scalar_kind == "int" else float
     try:
-        rows = tuple(tuple(from_num(x if x in (INF, NINF) else mk(x)) for x in row)
+        rows = tuple(tuple(x if x in (INF, NINF) else mk(x) for x in row)
                      for row in d)
     except OverflowError:  # only an exact real bound can be out of range
         v, w = next((v, w) for v, row in zip(c.index, d) for w, x in zip(c.index, row)
@@ -237,9 +242,9 @@ def murota_check(points, kind="lset"):
     idx = points[0].labels()
     for p in points:
         for v in idx:
-            if not p[v].is_fin:
+            if p[v] in (NEG_INF, POS_INF):
                 raise ValueError("infinite coordinate in explicit point list")
-    seen = {tuple(p[v].value for v in idx) for p in points}
+    seen = {tuple(p[v] for v in idx) for p in points}
     lo = min(min(t) for t in seen)
     hi = max(max(t) for t in seen)
     for a in seen:

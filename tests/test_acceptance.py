@@ -71,7 +71,7 @@ def oracle_satisfies(matrix_nums, point_nums):
 
 
 def nums(D):
-    return [[D.bound(v, w).num for w in D.index] for v in D.index]
+    return [[D.bound(v, w) for w in D.index] for v in D.index]
 
 
 def max_finite(matrix_nums, default=1):
@@ -392,7 +392,7 @@ def test_criterion_9_closure_oracle():
             not_idempotent += 1
 
         # c' = c with diagonals clamped to at most 0
-        cn = [[rows[i][j].num for j in range(n)] for i in range(n)]
+        cn = [[rows[i][j] for j in range(n)] for i in range(n)]
         for i in range(n):
             cn[i][i] = min(cn[i][i], 0)
         dn = nums(D)

@@ -150,7 +150,7 @@ def test_presheaf_checks():
     assert is_presheaf(p)
     q = make_presheaf(C, {"a": fin(0), "b": fin(-4)})
     assert not is_presheaf(q)  # d(a,b)=3 < p(a)-p(b)=4
-    assert presheaf_dist(p, p).num <= 0
+    assert presheaf_dist(p, p) <= 0
 
 
 def test_two_presheaves_are_lower_sets():

@@ -131,15 +131,38 @@ def test_closure_real_kind_float_overflow_exits_2(write, capsys, bound):
     assert "closure leaves the float range at (v, x)" in captured.err
 
 
+# v -> w -> x sums past the float range, but v -> y -> x closes (v, x) to 0
+LOWERED_CONS = ("kind: constraints\nscalar: real\nindex: v w x y\n"
+                "d: v v 0\nd: v w 1e308\nd: v x inf\nd: v y 0\n"
+                "d: w v inf\nd: w w 0\nd: w x 1e308\nd: w y inf\n"
+                "d: x v inf\nd: x w inf\nd: x x 0\nd: x y inf\n"
+                "d: y v inf\nd: y w inf\nd: y x 0\nd: y y 0\n")
+
+
 def test_closure_real_kind_partial_overflow_closes(write, capsys):
-    text = ("kind: constraints\nscalar: real\nindex: v w x y\n"
-            "d: v v 0\nd: v w 1e308\nd: v x inf\nd: v y 0\n"
-            "d: w v inf\nd: w w 0\nd: w x 1e308\nd: w y inf\n"
-            "d: x v inf\nd: x w inf\nd: x x 0\nd: x y inf\n"
-            "d: y v inf\nd: y w inf\nd: y x 0\nd: y y 0\n")
-    path = write("lowered.cons", text)
+    path = write("lowered.cons", LOWERED_CONS)
     assert main(["closure", path]) == 0
     assert "d: v x 0.0" in capsys.readouterr().out
+
+
+def test_validate_sums_beyond_the_float_range(write, capsys):
+    assert main(["closure", write("lowered.cons", LOWERED_CONS)]) == 0
+    assert main(["validate", write("closed.lcx", capsys.readouterr().out)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    # 1e308 + 1e308 is finite, so d(a, c) = inf breaks the triangle law
+    kcat = ("kind: kcategory\nscalar: real\npoints: a b c\n"
+            "hom: a a 0\nhom: a b 1e308\nhom: a c inf\n"
+            "hom: b a inf\nhom: b b 0\nhom: b c 1e308\n"
+            "hom: c a inf\nhom: c b inf\nhom: c c 0\n")
+    assert main(["validate", write("abc.kcat", kcat)]) == 1
+    assert "composition law fails at (a, b, c)" in capsys.readouterr().out
+
+
+def test_member_difference_beyond_the_float_range(write, capsys):
+    # w - v = -1e308 - 1e308 is finite, so it breaks the bound -inf
+    lcx = "kind: lconvex\nscalar: real\nindex: v w\nd: v v 0\nd: v w -inf\nd: w v inf\nd: w w 0\n"
+    assert main(["member", write("low.lcx", lcx), "--point", "v=1e308,w=-1e308"]) == 1
+    assert capsys.readouterr().out == "false\n"
 
 
 def test_hull(write, capsys):

@@ -1,10 +1,11 @@
 import random
 from itertools import permutations, product
+from math import isfinite
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcdual.scalars import NEG_INF, POS_INF, fin, from_num, ext_sub
+from lcdual.scalars import NEG_INF, POS_INF, fin, ext_sub
 from lcdual.lattices import get_lattice
 from lcdual.categories import VCategory, validate_category
 from lcdual.duality import cat_to_lcs
@@ -77,6 +78,14 @@ def test_entries_must_lie_in_the_carrier():
     with pytest.raises(ValueError):
         from_generators(GeneratorSet(("v", "w"), pts))
     assert from_generators(GeneratorSet(("v", "w"), pts, "real")).bound("v", "w") == fin(-0.5)
+
+
+def test_constraints_must_lie_in_the_carrier():
+    # a fractional int-kind bound must not be truncated by closure
+    with pytest.raises(ValueError, match="carrier"):
+        closure(RawConstraints("int", ("v", "w"), ((fin(0), fin(-0.5)), (POS_INF, fin(0)))))
+    D = closure(RawConstraints("real", ("v", "w"), ((fin(0), fin(-0.5)), (POS_INF, fin(0)))))
+    assert D.bound("v", "w") == fin(-0.5)
 
 
 def test_member_band():
@@ -182,9 +191,9 @@ def test_closure_exact_pass_agrees_with_the_float_pass():
         n = rng.randint(3, 6)
         pool = [NEG_INF, POS_INF, POS_INF] + [fin(v / 2) for v in range(-8, 11)]
         rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
-        scale = lambda x: fin(x.value * 2.0 ** 1018) if x.is_fin else x
+        scale = lambda x: fin(x * 2.0 ** 1018) if isfinite(x) else x
         big = [[scale(x) for x in row] for row in rows]
-        exact += any(x.is_fin and abs(x.value) > 2.0 ** (1023 - n) for row in big for x in row)
+        exact += any(isfinite(x) and abs(x) > 2.0 ** (1023 - n) for row in big for x in row)
         index = tuple("abcdef"[:n])
         want = closure(RawConstraints("real", index, rows))
         got = closure(RawConstraints("real", index, big))
@@ -263,9 +272,9 @@ def test_closure_matches_definition(kind):
         n = rng.randint(1, 5)
         m = [[rng.choice(pool) / 2 if kind == "real" else rng.choice(pool)
               for _ in range(n)] for _ in range(n)]
-        raw = tuple(tuple(from_num(x) for x in row) for row in m)
+        raw = tuple(tuple(row) for row in m)
         got = closure(RawConstraints(kind, tuple("vwxyz"[:n]), raw))
-        assert [[x.num for x in row] for row in got.dbm] == _closure_by_definition(m)
+        assert [list(row) for row in got.dbm] == _closure_by_definition(m)
 
 
 def test_weight_shift():
@@ -328,7 +337,7 @@ def test_grid_members_against_direct_check():
     expected = []
     for a, b in product(values, repeat=2):
         p = pt(v=a, w=b)
-        ok = all(D.bound(x, y).num >= ext_sub(p[y], p[x]).num
+        ok = all(D.bound(x, y) >= ext_sub(p[y], p[x])
                  for x in ("v", "w") for y in ("v", "w"))
         if ok:
             expected.append(p)

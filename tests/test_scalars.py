@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -69,7 +71,7 @@ def test_cart_ops():
     assert cart_implies(fin(5), fin(3)) == fin(0)
     assert cart_implies(fin(2), fin(7)) == fin(7)
     assert cart_implies(POS_INF, fin(9)) == fin(0)
-    assert isinstance(cart_implies(POS_INF, fin(2.5)).value, float)
+    assert isinstance(cart_implies(POS_INF, fin(2.5)), float)
     assert cart_max(fin(2), fin(7)) == fin(7)
     assert cart_max(POS_INF, fin(7)) == POS_INF
 
@@ -93,6 +95,18 @@ def test_unit_law_over_grid():
        st.integers(min_value=-10**9, max_value=10**9))
 def test_add_sub_cancel_on_finites(a, b):
     assert ext_sub(ext_add(fin(a), fin(b)), fin(b)) == fin(a)
+
+
+FINITE_REALS = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([1e308, -1e308, sys.float_info.max, -sys.float_info.max]))
+
+
+@given(FINITE_REALS, FINITE_REALS)
+def test_finite_sums_stay_finite(x, y):
+    # past the float range the result is exact, never a machine infinity or NaN
+    for r in (ext_add(x, y), ext_sub(y, x)):
+        assert r == r and r not in (POS_INF, NEG_INF)
 
 
 @given(st.sampled_from(EXT_GRID), st.sampled_from(EXT_GRID), st.sampled_from(EXT_GRID))
