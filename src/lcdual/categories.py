@@ -5,9 +5,14 @@ with values in an enriching lattice.  Over the kbar lattice this is a
 generalized metric space: distances may be negative, infinite and
 asymmetric, the triangle inequality is the composition law, and the
 identity law says d(a,a) is 0 or -inf.
+
+A functor is the tuple of codomain positions of its object images, in
+domain order, and a presheaf the tuple of its values in base order; label
+views are read off these tuples.
 """
 
 from dataclasses import dataclass
+from operator import eq
 
 from .scalars import format_scalar
 from .lattices import EnrichingLattice
@@ -71,32 +76,43 @@ def opposite(C):
 class VFunctor:
     domain: VCategory
     codomain: VCategory
-    object_map: tuple  # pairs (domain object, codomain object), in domain order
+    positions: tuple  # positions[i]: codomain index of the image of domain.objects[i]
 
     def __post_init__(self):
-        mapping = dict(self.object_map)
-        if tuple(a for a, _ in self.object_map) != self.domain.objects:
-            raise ValueError("object_map must cover the domain objects in order")
-        for _, b in self.object_map:
-            if not self.codomain.has_object(b):
-                raise ValueError("object_map hits a label outside the codomain")
-        object.__setattr__(self, "_map", mapping)
+        n = len(self.codomain.objects)
+        if len(self.positions) != len(self.domain.objects) or not all(
+                type(j) is int and 0 <= j < n for j in self.positions):
+            raise ValueError("a functor needs one codomain index per domain object")
+
+    @property
+    def object_map(self):
+        """Pairs (domain object, codomain object), in domain order."""
+        return tuple(zip(self.domain.objects, (self.codomain.objects[j] for j in self.positions)))
 
     def __call__(self, a):
-        return self._map[a]
+        return self.codomain.objects[self.positions[self.domain._pos[a]]]
 
 
 def make_functor(domain, codomain, mapping):
-    return VFunctor(domain, codomain, tuple((a, mapping[a]) for a in domain.objects))
+    """The functor a |-> mapping[a], from a label mapping that covers the domain."""
+    positions = []
+    for a in domain.objects:
+        if a not in mapping:
+            raise ValueError("no image given for %r" % (a,))
+        if not codomain.has_object(mapping[a]):
+            raise ValueError("%r maps to %r, outside the codomain" % (a, mapping[a]))
+        positions.append(codomain._pos[mapping[a]])
+    return VFunctor(domain, codomain, tuple(positions))
 
 
 def identity_functor(C):
-    return make_functor(C, C, {a: a for a in C.objects})
+    return VFunctor(C, C, tuple(range(len(C.objects))))
 
 
-def _increasing(src, dst, leq, c):
-    """The increasing condition on an index map c: src[i][k] below dst[c[i]][c[k]]."""
-    return all(leq(s, dst[ci][ck]) for row, ci in zip(src, c) for s, ck in zip(row, c))
+def _increasing(src, dst, rel, c):
+    """rel(src[i][k], dst[c[i]][c[k]]) for all i, k; with the lattice order
+    this is the increasing condition on the index map c."""
+    return all(rel(s, dst[ci][ck]) for row, ci in zip(src, c) for s, ck in zip(row, c))
 
 
 def _index_maps(src, dst, leq):
@@ -132,34 +148,30 @@ def _index_maps(src, dst, leq):
 
 def is_functor(F):
     """The increasing condition: hom(a,a') below hom(F a, F a')."""
-    A, B = F.domain, F.codomain
-    return _increasing(A.hom, B.hom, A.lattice.leq, tuple(B._pos[F(a)] for a in A.objects))
+    return _increasing(F.domain.hom, F.codomain.hom, F.domain.lattice.leq, F.positions)
 
 
 def is_fully_faithful(F):
-    A, B = F.domain, F.codomain
-    return all(A.hom_at(a, a2) == B.hom_at(F(a), F(a2))
-               for a in A.objects for a2 in A.objects)
+    return _increasing(F.domain.hom, F.codomain.hom, eq, F.positions)
 
 
 def is_isomorphism(F):
-    A, B = F.domain, F.codomain
-    image = {F(a) for a in A.objects}
-    return is_fully_faithful(F) and len(image) == len(A.objects) == len(B.objects)
+    n = len(F.domain.objects)
+    return is_fully_faithful(F) and len(set(F.positions)) == n == len(F.codomain.objects)
 
 
 def compose_functors(G, F):
     """G after F."""
     if F.codomain is not G.domain and F.codomain != G.domain:
         raise ValueError("codomain of the inner functor must be the outer domain")
-    return make_functor(F.domain, G.codomain, {a: G(F(a)) for a in F.domain.objects})
+    return VFunctor(F.domain, G.codomain, tuple(G.positions[j] for j in F.positions))
 
 
 def functor_hom(F, G):
     """Hom-value between parallel functors: inf over a of hom(F a, G a)."""
     _check_parallel(F, G)
-    L = F.codomain.lattice
-    return L.inf([F.codomain.hom_at(F(a), G(a)) for a in F.domain.objects])
+    B = F.codomain
+    return B.lattice.inf([B.hom[i][j] for i, j in zip(F.positions, G.positions)])
 
 
 def canonical_leq(F, G):
@@ -175,8 +187,7 @@ def _check_parallel(F, G):
 
 def enumerate_functors(A, B):
     """All functors A -> B, lexicographic in B's object order."""
-    return [VFunctor(A, B, tuple(zip(A.objects, (B.objects[j] for j in c))))
-            for c in _index_maps(A.hom, B.hom, A.lattice.leq)]
+    return [VFunctor(A, B, c) for c in _index_maps(A.hom, B.hom, A.lattice.leq)]
 
 
 def self_enrichment(L, carrier):
@@ -192,26 +203,24 @@ def self_enrichment(L, carrier):
 @dataclass(frozen=True)
 class Presheaf:
     base: VCategory
-    values: tuple  # pairs (object, lattice value) in base order
+    values: tuple  # values[i]: the lattice value at base.objects[i]
 
     def __post_init__(self):
-        if tuple(a for a, _ in self.values) != self.base.objects:
-            raise ValueError("presheaf values must cover the base objects in order")
-        object.__setattr__(self, "_map", dict(self.values))
+        if len(self.values) != len(self.base.objects):
+            raise ValueError("a presheaf needs one value per base object")
 
     def __call__(self, a):
-        return self._map[a]
+        return self.values[self.base._pos[a]]
 
 
 def make_presheaf(base, mapping):
-    return Presheaf(base, tuple((a, mapping[a]) for a in base.objects))
+    return Presheaf(base, tuple(mapping[a] for a in base.objects))
 
 
 def is_presheaf(p):
     """Contravariant nonexpansiveness: hom(a,b) below hom_L(p(b), p(a))."""
-    C, L = p.base, p.base.lattice
-    return all(L.leq(C.hom_at(a, b), L.hom(p(b), p(a)))
-               for a in C.objects for b in C.objects)
+    L, v = p.base.lattice, p.values
+    return all(L.leq(h, L.hom(vb, va)) for row, va in zip(p.base.hom, v) for h, vb in zip(row, v))
 
 
 def presheaf_dist(p1, p2):
@@ -219,37 +228,29 @@ def presheaf_dist(p1, p2):
     if p1.base != p2.base:
         raise ValueError("presheaves live over different bases")
     L = p1.base.lattice
-    return L.inf([L.hom(p1(a), p2(a)) for a in p1.base.objects])
+    return L.inf([L.hom(x, y) for x, y in zip(p1.values, p2.values)])
 
 
 def yoneda(C, b):
-    """The representable presheaf a |-> hom(a, b)."""
-    return make_presheaf(C, {a: C.hom_at(a, b) for a in C.objects})
+    """The representable presheaf a |-> hom(a, b): column b of the matrix."""
+    j = C._pos[b]
+    return Presheaf(C, tuple(row[j] for row in C.hom))
 
 
 def co_yoneda(C, a):
-    """The corepresentable b |-> hom(a, b), packaged over the opposite base."""
-    Cop = opposite(C)
-    return make_presheaf(Cop, {b: C.hom_at(a, b) for b in C.objects})
+    """The corepresentable b |-> hom(a, b), row a, packaged over the opposite base."""
+    return Presheaf(opposite(C), C.hom[C._pos[a]])
 
 
 def verify_yoneda(C):
     """Both embeddings are isometries: hom values equal presheaf distances.
 
-    Checks hom(b,b') = inf_a hom_L(hom(a,b), hom(a,b')) and the dual
-    hom(a,a') = inf_b hom_L(hom(a',b), hom(a,b)) for every pair.
+    For X in (C, opposite(C)) and every pair b, b' this checks
+    presheaf_dist(yoneda(X, b), yoneda(X, b')) == hom_X(b, b'); over the
+    opposite that is hom(a,a') = inf_b hom_L(hom(a',b), hom(a,b)).
     """
-    L = C.lattice
-    for b in C.objects:
-        for b2 in C.objects:
-            expected = C.hom_at(b, b2)
-            got = L.inf([L.hom(C.hom_at(a, b), C.hom_at(a, b2)) for a in C.objects])
-            if got != expected:
-                return False
-    for a in C.objects:
-        for a2 in C.objects:
-            expected = C.hom_at(a, a2)
-            got = L.inf([L.hom(C.hom_at(a2, b), C.hom_at(a, b)) for b in C.objects])
-            if got != expected:
-                return False
+    for X in (C, opposite(C)):
+        ys = [yoneda(X, b) for b in X.objects]
+        if any(presheaf_dist(p, q) != h for p, row in zip(ys, X.hom) for q, h in zip(ys, row)):
+            return False
     return True

@@ -173,7 +173,7 @@ def cmd_leq(args):
     try:
         F = make_functor(A, B, m1)
         G = make_functor(A, B, m2)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise DocumentError("bad map spec: %s" % exc)
     if not is_functor(F) or not is_functor(G):
         raise DocumentError("a map spec is not a %s" % what)

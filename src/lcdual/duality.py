@@ -5,16 +5,18 @@ object list and whose bounds are the distances; an L-convex set becomes a
 category on relabeled points pi_v with the same matrix.  The round trips
 are identities up to these relabelings.
 
-Maps: a functor A -> B induces a homomorphism [B] -> [A] whose index map
-is the functor's object map, and conversely; directions reverse.  The
-canonical orderings transfer along the same correspondence.
+Maps: a homomorphism D -> E is the functor [E] -> [D] with the same index
+map, and is stored as that functor: one tuple of positions in D's index,
+in E's index order.  A functor A -> B is a homomorphism [B] -> [A] with
+the same positions; directions reverse.  The canonical orderings transfer
+along the same correspondence.
 """
 
 from dataclasses import dataclass
 
 from .categories import (
     VCategory, VFunctor, make_functor, validate_category, is_functor, canonical_leq,
-    _index_maps,
+    enumerate_functors,
 )
 from .lconvex import LConvexSet, PointVector, grid_members
 
@@ -23,37 +25,26 @@ PI_PREFIX = "pi_"
 
 @dataclass(frozen=True)
 class Homomorphism:
-    domain: LConvexSet
-    codomain: LConvexSet
-    index_map: tuple  # pairs (codomain index label, domain index label)
+    """A homomorphism D -> E, held as the functor [E] -> [D] it is."""
+    functor: VFunctor
 
-    def __post_init__(self):
-        if tuple(w for w, _ in self.index_map) != self.codomain.index:
-            raise ValueError("index_map must cover the codomain index in order")
-        mapping = dict(self.index_map)
-        for _, v in mapping.items():
-            if not self.domain.has_object(v):
-                raise ValueError("index_map hits a label outside the domain index")
-        object.__setattr__(self, "_map", mapping)
+    domain = property(lambda self: self.functor.codomain)
+    codomain = property(lambda self: self.functor.domain)
+    # pairs (codomain index label, domain index label)
+    index_map = property(lambda self: self.functor.object_map)
 
     def __call__(self, w):
-        return self._map[w]
+        return self.functor(w)
 
 
 def make_homomorphism(D, E, mapping):
     """Build from a mapping ind E -> ind D (note the reversal)."""
-    return Homomorphism(D, E, tuple((w, mapping[w]) for w in E.index))
+    return Homomorphism(make_functor(E, D, mapping))
 
 
 def pullback(phi, p):
     """The underlying point map: precompose coordinates with the index map."""
-    return PointVector({w: p[phi(w)] for w in phi.codomain.index})
-
-
-@dataclass(frozen=True)
-class DualityWitness:
-    """The explicit relabelings that witness the round-trip isomorphisms."""
-    relabel: tuple  # pairs (original label, pi-label)
+    return PointVector((w, p[v]) for w, v in phi.index_map)
 
 
 def _require_valid_category(A):
@@ -79,14 +70,6 @@ def lcs_to_cat(D):
     """
     _require_valid_category(D)
     return VCategory(D.lattice, tuple(PI_PREFIX + v for v in D.index), D.dbm)
-
-
-def unit_witness(A):
-    return DualityWitness(tuple((a, PI_PREFIX + a) for a in A.objects))
-
-
-def counit_witness(D):
-    return DualityWitness(tuple((v, PI_PREFIX + v) for v in D.index))
 
 
 def roundtrip_cat(A):
@@ -117,12 +100,7 @@ def roundtrip_lcs(D, bound=None):
     return True
 
 
-def _as_functor(phi):
-    """phi : D -> E read as the functor [E] -> [D] with the same index map."""
-    return VFunctor(phi.codomain, phi.domain, phi.index_map)
-
-
-def is_homomorphism(f, D=None, E=None):
+def is_homomorphism(phi):
     """Matrix test: every codomain bound dominates the pulled-back bound.
 
     This is the functor check on the transposed pair: the increasing
@@ -130,15 +108,12 @@ def is_homomorphism(f, D=None, E=None):
     order.  Equivalent to the defining condition that the pullback carries
     every member of the domain to a member of the codomain.
     """
-    phi = f if isinstance(f, Homomorphism) else make_homomorphism(D, E, dict(f))
-    return is_functor(_as_functor(phi))
+    return is_functor(phi.functor)
 
 
 def functor_to_hom(F):
     """A functor A -> B as a homomorphism [B] -> [A] (same underlying map)."""
-    D = cat_to_lcs(F.codomain)
-    E = cat_to_lcs(F.domain)
-    phi = make_homomorphism(D, E, {a: F(a) for a in F.domain.objects})
+    phi = Homomorphism(VFunctor(cat_to_lcs(F.domain), cat_to_lcs(F.codomain), F.positions))
     if not is_homomorphism(phi):
         raise ValueError("functor does not satisfy the increasing condition")
     return phi
@@ -146,11 +121,7 @@ def functor_to_hom(F):
 
 def hom_to_functor(phi):
     """A homomorphism D -> E as a functor on points, pi_w |-> pi_f(w)."""
-    A = lcs_to_cat(phi.codomain)
-    B = lcs_to_cat(phi.domain)
-    F = make_functor(A, B, {PI_PREFIX + w: PI_PREFIX + phi(w)
-                            for w in phi.codomain.index})
-    return F
+    return VFunctor(lcs_to_cat(phi.codomain), lcs_to_cat(phi.domain), phi.functor.positions)
 
 
 def hom_canonical_leq(phi, psi):
@@ -160,9 +131,7 @@ def hom_canonical_leq(phi, psi):
     map; that holds exactly when 0 >= dbm_D[f(w)][g(w)] for every w, the
     canonical ordering of the corresponding functors [E] -> [D].
     """
-    if phi.domain != psi.domain or phi.codomain != psi.codomain:
-        raise ValueError("homomorphisms are not parallel")
-    return canonical_leq(_as_functor(phi), _as_functor(psi))
+    return canonical_leq(phi.functor, psi.functor)
 
 
 def hom_leq_pointwise(phi, psi, bound=3):
@@ -181,5 +150,4 @@ def enumerate_homs(D, E):
 
     These are the functors [E] -> [D]: the same search on the transposed pair.
     """
-    return [Homomorphism(D, E, tuple(zip(E.index, (D.index[j] for j in c))))
-            for c in _index_maps(E.dbm, D.dbm, D.lattice.leq)]
+    return [Homomorphism(F) for F in enumerate_functors(E, D)]

@@ -11,6 +11,9 @@ instances are a closed enumeration: their empty-sup/inf conventions and
 infinity tables are forced, not configurable.
 """
 
+from fractions import Fraction
+from sys import float_info
+
 from .scalars import (
     NEG_INF, POS_INF, TRUE, FALSE,
     ext_add, ext_sub, trunc_add, trunc_sub,
@@ -52,11 +55,17 @@ class EnrichingLattice:
         """Finite slice of the carrier used by exhaustive law checks."""
         raise NotImplementedError
 
+    def _beyond_floats(self, x):
+        """Whether x is an exact sum or difference past the float range."""
+        return False
+
     def _checked(self, xs):
-        """xs as a list, each member checked to lie in the carrier."""
+        """xs as a list, each member checked to lie in the carrier, or beyond
+        the float range as an exact ext_add/ext_sub result (compared exactly
+        like any term; only the carrier check on storing refuses it)."""
         xs = list(xs)
         for x in xs:
-            if not self.contains(x):
+            if not self.contains(x) and not self._beyond_floats(x):
                 raise ValueError("outside carrier: %s" % format_scalar(x))
         return xs
 
@@ -110,6 +119,9 @@ class _NumericLattice(EnrichingLattice):
 
     def leq(self, x, y):
         return x >= y
+
+    def _beyond_floats(self, x):
+        return type(x) is Fraction and abs(x) > float_info.max
 
     def sup(self, xs):
         # lattice sup = usual minimum; empty sup is the lattice bottom.

@@ -6,7 +6,7 @@ import pytest
 from lcdual.lattices import get_lattice
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
 from lcdual.categories import (
-    make_category, make_functor, identity_functor, make_presheaf,
+    VFunctor, make_category, make_functor, identity_functor, make_presheaf,
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
     compose_functors, functor_hom, canonical_leq, enumerate_functors,
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
@@ -198,3 +198,39 @@ def test_mismatched_functors_rejected():
         functor_hom(identity_functor(C), identity_functor(D))
     with pytest.raises(ValueError):
         make_functor(C, D, {"a": "z", "b": "a"})
+    with pytest.raises(ValueError):
+        make_functor(C, D, {"a": "a"})  # no image for b
+
+
+def test_vfunctor_rejects_bad_positions():
+    C = kcat([[0, 3], [4, 0]])
+    for bad in ((0,), (0, 1, 0), (0, 2), (0, -1), (0, True)):
+        with pytest.raises(ValueError):
+            VFunctor(C, C, bad)
+
+
+def _random_enriched(rng, L):
+    """L over itself on a few distinct grid values, in random order."""
+    grid = L.carrier_grid(2)
+    return self_enrichment(L, rng.sample(grid, rng.randint(1, min(3, len(grid)))))
+
+
+@pytest.mark.parametrize("name", ["two", "kbar", "kbar_plus", "kbar_plus_cart"])
+def test_position_operations_match_label_definitions(name):
+    rng = random.Random(len(name))
+    L = get_lattice(name)
+    seen = 0
+    for _ in range(12):
+        A, B = _random_enriched(rng, L), _random_enriched(rng, L)
+        fs, endos = enumerate_functors(A, B), enumerate_functors(B, B)
+        for F in fs:
+            seen += 1
+            assert make_functor(A, B, dict(F.object_map)) == F
+            assert is_fully_faithful(F) == all(
+                A.hom_at(a, a2) == B.hom_at(F(a), F(a2)) for a in A.objects for a2 in A.objects)
+            for G in fs:
+                assert functor_hom(F, G) == L.inf([B.hom_at(F(a), G(a)) for a in A.objects])
+            for H in endos:
+                HF = compose_functors(H, F)
+                assert all(HF(a) == H(F(a)) for a in A.objects)
+    assert seen >= 12

@@ -208,6 +208,18 @@ def test_leq_needs_two_maps(write, capsys):
     assert main(["leq", d, d, "--map", "v:v,w:w"]) == 2
 
 
+@pytest.mark.parametrize("text", [BAND_KCAT, BAND_LCX], ids=["kcategory", "lconvex"])
+@pytest.mark.parametrize("spec,message", [
+    ("v:v,w:z", "bad map spec"),          # a target outside the codomain
+    ("v:v", "bad map spec"),              # no entry for w
+    ("v:v,v:w,w:w", "duplicate map entry"),
+], ids=["outside", "missing", "duplicate"])
+def test_leq_rejects_bad_map_specs(text, spec, message, write, capsys):
+    path = write("m.txt", text)
+    assert main(["leq", path, path, "--map", "v:v,w:w", "--map", spec]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", sorted(MATRIX_CASES))
 def test_classify2(kind, write, capsys):
     good, broken, shape = MATRIX_CASES[kind]
@@ -222,6 +234,20 @@ def test_classify2(kind, write, capsys):
 def test_yoneda_check(write, capsys):
     path = write("band.kcat", BAND_KCAT)
     assert main(["yoneda-check", path]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
+def test_yoneda_check_with_composites_past_the_float_range(write, capsys):
+    # the dual of a valid real lconvex whose presheaf distances pass
+    # through exact sums beyond the float range
+    bounds = {("v", "w"): "-1.7976931348623157e+308", ("w", "x"): "1.7976931348623157e+308",
+              ("x", "w"): "1e+308", ("v", "x"): "0.0"}
+    lines = ["d: %s %s %s" % (a, b, "0.0" if a == b else bounds.get((a, b), "inf"))
+             for a in "vwx" for b in "vwx"]
+    lcx = write("far.lcx", "kind: lconvex\nscalar: real\nindex: v w x\n" + "\n".join(lines) + "\n")
+    assert main(["dual", lcx]) == 0
+    kcat = write("far.kcat", capsys.readouterr().out)
+    assert main(["yoneda-check", kcat]) == 0
     assert capsys.readouterr().out.strip() == "true"
 
 

@@ -1,9 +1,10 @@
+from fractions import Fraction
 from math import isfinite
 
 import pytest
 
 from lcdual.lattices import get_lattice, check_adjointness, law_violations
-from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
+from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin, ext_add
 from lcdual.categories import make_category, validate_category
 
 
@@ -57,6 +58,16 @@ def test_carrier_membership():
     assert kplus.contains(POS_INF)
     with pytest.raises(ValueError):
         kplus.sup([fin(-1)])
+
+
+def test_sup_inf_take_exact_terms_past_the_float_range():
+    kbar = get_lattice("kbar", "real")
+    huge = ext_add(1e308, 1e308)  # the exact sum, a Fraction
+    assert kbar.sup([huge, 1.0]) == 1.0 and kbar.inf([huge, POS_INF]) == POS_INF
+    assert kbar.inf([huge, 1.0]) == huge
+    for bad in (Fraction(1, 2), float("nan")):
+        with pytest.raises(ValueError):
+            kbar.sup([bad])
 
 
 def test_real_kind_grid_is_float():

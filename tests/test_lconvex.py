@@ -118,6 +118,16 @@ def test_from_generators_examples():
     assert single.dbm == lcs([[0, 0], [0, 0]]).dbm
 
 
+def test_from_generators_bounds_past_the_float_range():
+    # w - v and v - w leave the float range on the first point, but the
+    # other points decide both bounds
+    far = pt(v=-1e308, w=1e308)
+    S = GeneratorSet(("v", "w"), (far, pt(v=0.0, w=INF), pt(v=0.0, w=0.0)), "real")
+    assert from_generators(S).dbm == ((0.0, INF), (0.0, 0.0))
+    with pytest.raises(ValueError):
+        from_generators(GeneratorSet(("v", "w"), (far,), "real"))
+
+
 def test_from_generators_contains_generators_and_is_minimal():
     rng = random.Random(5)
     grid = [NINF, -2, -1, 0, 1, 2, INF]
