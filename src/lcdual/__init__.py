@@ -15,9 +15,9 @@ from .categories import (
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
 )
 from .lconvex import (
-    LConvexSet, PointVector, RawConstraints, GeneratorSet,
+    LConvexSet, RawConstraints, GeneratorSet,
     make_lcs, validate_lcs, member, from_generators, closure, weight_shift,
-    point_sup, point_inf, canonical_points, grid_members, murota_check,
+    point_sup, point_inf, canonical_points, grid_members,
 )
 from .duality import (
     Homomorphism, make_homomorphism, pullback,

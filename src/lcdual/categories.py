@@ -94,7 +94,10 @@ class VFunctor:
 
 
 def make_functor(domain, codomain, mapping):
-    """The functor a |-> mapping[a], from a label mapping that covers the domain."""
+    """The functor a |-> mapping[a], from a label mapping keyed by exactly the domain's objects."""
+    for a in mapping:
+        if not domain.has_object(a):
+            raise ValueError("%r is not a domain object" % (a,))
     positions = []
     for a in domain.objects:
         if a not in mapping:

@@ -147,11 +147,10 @@ def render_region(D, bound=3):
         raise ValueError("rendering needs exactly two indices")
     if D.scalar_kind != "int":
         raise ValueError("rendering needs the integer scalar kind")
-    v, w = D.index
-    members = {(p[v], p[w]) for p in grid_members(D, bound)}
+    members = set(grid_members(D, bound))
     axis = get_lattice("kbar").carrier_grid(bound)
     border = (NEG_INF, POS_INF)
-    lines = ["bound=%d index=%s,%s" % (bound, v, w)]
+    lines = ["bound=%d index=%s" % (bound, ",".join(D.index))]
     for y in reversed(axis):
         row = []
         for x in axis:

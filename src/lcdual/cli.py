@@ -13,7 +13,7 @@ from .categories import (
     VCategory, make_functor, is_functor, validate_category, canonical_leq, verify_yoneda,
     enumerate_functors,
 )
-from .lconvex import closure, from_generators, member, PointVector
+from .lconvex import closure, from_generators, member
 from .duality import cat_to_lcs, lcs_to_cat, enumerate_homs
 from .classify import classify_two_point, render_region
 from . import docfiles
@@ -58,6 +58,8 @@ def _parse_point_spec(spec, labels, scalar_kind):
         lab = lab.strip()
         if lab not in labels:
             raise DocumentError("unknown label %r in point" % lab)
+        if lab in out:
+            raise DocumentError("duplicate coordinate for %r" % lab)
         try:
             out[lab] = parse_scalar(val, scalar_kind)
         except ValueError as exc:
@@ -65,7 +67,7 @@ def _parse_point_spec(spec, labels, scalar_kind):
     missing = [lab for lab in labels if lab not in out]
     if missing:
         raise DocumentError("point is missing coordinates: %s" % ", ".join(missing))
-    return PointVector(out)
+    return tuple(out[lab] for lab in labels)
 
 
 def _load_matrix(path, command):

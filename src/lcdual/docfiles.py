@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .scalars import parse_scalar, format_scalar
 from .lattices import get_lattice
 from .categories import VCategory
-from .lconvex import LConvexSet, RawConstraints, GeneratorSet, PointVector
+from .lconvex import LConvexSet, RawConstraints, GeneratorSet
 
 MATRIX_KINDS = ("kcategory", "lconvex", "constraints")
 POINT_KINDS = ("points", "generators")
@@ -196,8 +196,7 @@ def to_constraints(doc):
 def to_generators(doc):
     if doc.kind not in POINT_KINDS:
         raise DocumentError("expected a generators document, got kind %s" % doc.kind)
-    pts = tuple(PointVector(dict(zip(doc.labels, pt))) for pt in doc.points)
-    return GeneratorSet(doc.labels, pts, doc.scalar)
+    return GeneratorSet(doc.labels, doc.points, doc.scalar)
 
 
 def from_category(C):

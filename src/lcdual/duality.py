@@ -18,7 +18,7 @@ from .categories import (
     VCategory, VFunctor, make_functor, validate_category, is_functor, canonical_leq,
     enumerate_functors,
 )
-from .lconvex import LConvexSet, PointVector, grid_members
+from .lconvex import LConvexSet, grid_members
 
 PI_PREFIX = "pi_"
 
@@ -43,8 +43,8 @@ def make_homomorphism(D, E, mapping):
 
 
 def pullback(phi, p):
-    """The underlying point map: precompose coordinates with the index map."""
-    return PointVector((w, p[v]) for w, v in phi.index_map)
+    """The underlying point map: precompose coordinates with the functor's positions."""
+    return tuple(p[j] for j in phi.functor.positions)
 
 
 def _require_valid_category(A):
@@ -82,22 +82,12 @@ def roundtrip_cat(A):
 def roundtrip_lcs(D, bound=None):
     """Index bijection v |-> pi_v plus matrix equality.
 
-    With a bound (integer kind only) grid membership of the two sets is
-    compared point for point after relabeling.
+    With a bound (integer kind only) the grid members of the two sets,
+    as coordinate tuples in index order, are compared point for point.
     """
     E = cat_to_lcs(lcs_to_cat(D))
-    expected = tuple(PI_PREFIX + v for v in D.index)
-    if E.index != expected or E.dbm != D.dbm:
-        return False
-    if bound is not None:
-        relabel = dict(zip(D.index, E.index))
-        mem_d = {tuple((relabel[v], p[v]) for v in D.index)
-                 for p in grid_members(D, bound)}
-        mem_e = {tuple((w, p[w]) for w in E.index)
-                 for p in grid_members(E, bound)}
-        if mem_d != mem_e:
-            return False
-    return True
+    return (E.index == tuple(PI_PREFIX + v for v in D.index) and E.dbm == D.dbm
+            and (bound is None or grid_members(D, bound) == grid_members(E, bound)))
 
 
 def is_homomorphism(phi):
@@ -132,17 +122,6 @@ def hom_canonical_leq(phi, psi):
     canonical ordering of the corresponding functors [E] -> [D].
     """
     return canonical_leq(phi.functor, psi.functor)
-
-
-def hom_leq_pointwise(phi, psi, bound=3):
-    """Oracle form of the ordering: compare pullbacks on every grid member."""
-    D = phi.domain
-    for p in grid_members(D, bound):
-        fp, gp = pullback(phi, p), pullback(psi, p)
-        for w in phi.codomain.index:
-            if not fp[w] >= gp[w]:
-                return False
-    return True
 
 
 def enumerate_homs(D, E):

@@ -1,8 +1,8 @@
 """Extended L-convex sets in difference-bound-matrix form.
 
-A set of points p in Kbar^index closed under coordinatewise sup/inf and
-under adding constant vectors is represented canonically by a square
-matrix dbm with
+A point p is the tuple of its coordinates in index order.  A set of
+points closed under coordinatewise sup/inf and under adding constant
+vectors is represented canonically by a square matrix dbm with
 
     p is a member  iff  dbm[v][w] >= p(w) - p(v)  for all v, w
 
@@ -16,36 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from sys import float_info
 
-from .scalars import NEG_INF, POS_INF, ext_add, ext_sub, format_scalar
+from .scalars import NEG_INF, POS_INF, ext_add, ext_sub
 from .lattices import get_lattice
 from .categories import VCategory, validate_category, self_enrichment, _index_maps
-
-
-class PointVector:
-    """A coordinate assignment from index labels to extended scalars."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = dict(coords)
-
-    def __getitem__(self, label):
-        return self.coords[label]
-
-    def labels(self):
-        return tuple(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, PointVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(tuple(sorted((k, v) for k, v in self.coords.items())))
-
-    def __repr__(self):
-        inner = ", ".join("%s=%s" % (k, format_scalar(v)) for k, v in self.coords.items())
-        return "PointVector(%s)" % inner
 
 
 class LConvexSet(VCategory):
@@ -75,7 +48,7 @@ class RawConstraints:
 @dataclass(frozen=True)
 class GeneratorSet:
     index: tuple
-    points: tuple  # PointVectors, each total over index
+    points: tuple  # coordinate tuples in index order
     scalar_kind: str = "int"
 
 
@@ -86,11 +59,16 @@ def make_lcs(index, rows, scalar_kind="int"):
 validate_lcs = validate_category
 
 
+def _check_arity(points, n):
+    if any(len(p) != n for p in points):
+        raise ValueError("a point needs %d coordinates, one per index" % n)
+
+
 def member(D, p):
     """Membership: every difference constraint holds under extended subtraction."""
-    coords = [p[v] for v in D.index]
-    for x, row in zip(coords, D.dbm):
-        for y, bound in zip(coords, row):
+    _check_arity((p,), len(D.index))
+    for x, row in zip(p, D.dbm):
+        for y, bound in zip(p, row):
             if bound < ext_sub(y, x):
                 return False
     return True
@@ -103,14 +81,12 @@ def from_generators(S):
     generator; with no generators every bound is -inf (the set containing
     only the all-inf and all-(-inf) points).
     """
-    idx = S.index
-    for p in S.points:
-        for v in idx:
-            p[v]  # raises KeyError on arity mismatch
+    n = len(S.index)
+    _check_arity(S.points, n)
     inf = get_lattice("kbar", S.scalar_kind).inf
-    rows = tuple(tuple(inf([ext_sub(p[w], p[v]) for p in S.points]) for w in idx)
-                 for v in idx)
-    return LConvexSet(S.scalar_kind, tuple(idx), rows)
+    rows = tuple(tuple(inf([ext_sub(p[w], p[v]) for p in S.points]) for w in range(n))
+                 for v in range(n))
+    return LConvexSet(S.scalar_kind, tuple(S.index), rows)
 
 
 def closure(c):
@@ -172,9 +148,9 @@ def closure(c):
 def weight_shift(p, alpha, sign="plus"):
     """Add or subtract the constant vector alpha * 1 coordinatewise."""
     if sign == "plus":
-        return PointVector({v: ext_add(x, alpha) for v, x in p.coords.items()})
+        return tuple(ext_add(x, alpha) for x in p)
     if sign == "minus":
-        return PointVector({v: ext_sub(x, alpha) for v, x in p.coords.items()})
+        return tuple(ext_sub(x, alpha) for x in p)
     raise ValueError("sign must be 'plus' or 'minus'")
 
 
@@ -182,31 +158,25 @@ def weight_shift(p, alpha, sign="plus"):
 _POINT_LATTICE = get_lattice("kbar", "real")
 
 
-def point_sup(points, index=None):
-    """Coordinatewise sup (usual min); empty sup is the all-inf point."""
-    return _pointwise(points, index, _POINT_LATTICE.sup)
+def point_sup(points, n):
+    """Coordinatewise sup (usual min) of n-coordinate points; empty sup is the all-inf point."""
+    return _pointwise(points, n, _POINT_LATTICE.sup)
 
 
-def point_inf(points, index=None):
-    """Coordinatewise inf (usual max); empty inf is the all-(-inf) point."""
-    return _pointwise(points, index, _POINT_LATTICE.inf)
+def point_inf(points, n):
+    """Coordinatewise inf (usual max) of n-coordinate points; empty inf is the all-(-inf) point."""
+    return _pointwise(points, n, _POINT_LATTICE.inf)
 
 
-def _pointwise(points, index, op):
+def _pointwise(points, n, op):
     points = list(points)
-    if index is None:
-        if not points:
-            raise ValueError("an index is required for an empty point family")
-        index = points[0].labels()
-    for p in points:
-        if set(p.labels()) != set(index):
-            raise ValueError("points do not share the index")
-    return PointVector({v: op([p[v] for p in points]) for v in index})
+    _check_arity(points, n)
+    return tuple(op([p[i] for p in points]) for i in range(n))
 
 
 def canonical_points(D):
     """The rows of the dbm, each a member of D."""
-    return [PointVector({w: D.bound(v, w) for w in D.index}) for v in D.index]
+    return list(D.dbm)
 
 
 def grid_members(D, bound=3):
@@ -220,42 +190,5 @@ def grid_members(D, bound=3):
     # members are the functors from D into the grid enriched over itself:
     # p is one iff dbm[v][w] is below hom(p(v), p(w)) in kbar
     L, grid = D.lattice, D.lattice.carrier_grid(bound)
-    return [PointVector(zip(D.index, (grid[j] for j in c)))
+    return [tuple(grid[j] for j in c)
             for c in _index_maps(D.dbm, self_enrichment(L, grid).hom, L.leq)]
-
-
-def murota_check(points, kind="lset"):
-    """Toy-scale comparison predicate for classic L-convex point sets.
-
-    Requires finite coordinates.  Checks nonemptiness, closure under
-    binary coordinatewise min/max, and presence of the +-1 constant
-    translations whenever the translated point stays inside the
-    coordinate window spanned by the list.  Topological closedness for
-    the polyhedral kind cannot be observed on a finite list and is left
-    unchecked.
-    """
-    if kind not in ("lset", "lpoly"):
-        raise ValueError("kind must be 'lset' or 'lpoly'")
-    points = list(points)
-    if not points:
-        return False
-    idx = points[0].labels()
-    for p in points:
-        for v in idx:
-            if p[v] in (NEG_INF, POS_INF):
-                raise ValueError("infinite coordinate in explicit point list")
-    seen = {tuple(p[v] for v in idx) for p in points}
-    lo = min(min(t) for t in seen)
-    hi = max(max(t) for t in seen)
-    for a in seen:
-        for b in seen:
-            if tuple(min(x, y) for x, y in zip(a, b)) not in seen:
-                return False
-            if tuple(max(x, y) for x, y in zip(a, b)) not in seen:
-                return False
-    for a in seen:
-        for delta in (1, -1):
-            shifted = tuple(x + delta for x in a)
-            if all(lo <= x <= hi for x in shifted) and shifted not in seen:
-                return False
-    return True

@@ -18,7 +18,7 @@ from lcdual.categories import (
     canonical_leq, verify_yoneda, is_presheaf, yoneda,
 )
 from lcdual.lconvex import (
-    PointVector, RawConstraints, closure, grid_members, member,
+    RawConstraints, closure, grid_members, member,
     canonical_points,
 )
 from lcdual.duality import (

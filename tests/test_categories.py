@@ -200,6 +200,8 @@ def test_mismatched_functors_rejected():
         make_functor(C, D, {"a": "z", "b": "a"})
     with pytest.raises(ValueError):
         make_functor(C, D, {"a": "a"})  # no image for b
+    with pytest.raises(ValueError, match="'z' is not a domain object"):
+        make_functor(C, D, {"a": "a", "b": "a", "z": "a"})
 
 
 def test_vfunctor_rejects_bad_positions():

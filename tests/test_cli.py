@@ -98,6 +98,8 @@ def test_member_bad_point(write, capsys):
     assert "missing coordinates" in capsys.readouterr().err
     assert main(["member", path, "--point", "v=true,w=0"]) == 2
     assert "bad integer scalar literal" in capsys.readouterr().err
+    assert main(["member", path, "--point", "v=0,w=5,v=4"]) == 2
+    assert "duplicate coordinate for 'v'" in capsys.readouterr().err
 
 
 def test_closure(write, capsys):
@@ -213,7 +215,8 @@ def test_leq_needs_two_maps(write, capsys):
     ("v:v,w:z", "bad map spec"),          # a target outside the codomain
     ("v:v", "bad map spec"),              # no entry for w
     ("v:v,v:w,w:w", "duplicate map entry"),
-], ids=["outside", "missing", "duplicate"])
+    ("v:v,w:w,zz:v", "bad map spec"),     # zz is not a domain object
+], ids=["outside", "missing", "duplicate", "stray"])
 def test_leq_rejects_bad_map_specs(text, spec, message, write, capsys):
     path = write("m.txt", text)
     assert main(["leq", path, path, "--map", "v:v,w:w", "--map", spec]) == 2

@@ -59,8 +59,8 @@ def test_parse_lconvex_and_generators():
     assert c.matrix[0][1] == fin(1)
     S = to_generators(parse_document(GEN_TEXT))
     assert len(S.points) == 3
-    assert S.points[1]["w"] == POS_INF
-    assert S.points[2]["v"] == NEG_INF
+    assert S.points[1][1] == POS_INF
+    assert S.points[2][0] == NEG_INF
 
 
 def test_emit_is_canonical_roundtrip():

@@ -10,9 +10,9 @@ from lcdual.lattices import get_lattice
 from lcdual.categories import VCategory, validate_category
 from lcdual.duality import cat_to_lcs
 from lcdual.lconvex import (
-    LConvexSet, PointVector, RawConstraints, GeneratorSet,
+    LConvexSet, RawConstraints, GeneratorSet,
     make_lcs, validate_lcs, member, from_generators, closure, weight_shift,
-    point_sup, point_inf, canonical_points, grid_members, murota_check,
+    point_sup, point_inf, canonical_points, grid_members,
 )
 
 from conftest import kcat, random_valid_lcs
@@ -27,11 +27,9 @@ def lcs(rows, labels=("v", "w")):
 
 
 def pt(**coords):
-    out = {}
-    for k, v in coords.items():
-        out[k] = (POS_INF if v == float("inf")
-                  else NEG_INF if v == float("-inf") else fin(v))
-    return PointVector(out)
+    """The point with these coordinates, given in index order."""
+    return tuple(POS_INF if v == float("inf")
+                 else NEG_INF if v == float("-inf") else fin(v) for v in coords.values())
 
 
 INF = float("inf")
@@ -295,9 +293,21 @@ def test_weight_shift():
 
 
 def test_point_sup_inf():
-    assert point_sup([], index=("v", "w")) == pt(v=INF, w=INF)
-    assert point_inf([pt(v=0, w=1), pt(v=1, w=0)]) == pt(v=1, w=1)
-    assert point_sup([pt(v=0, w=1), pt(v=1, w=0)]) == pt(v=0, w=0)
+    assert point_sup([], 2) == pt(v=INF, w=INF)
+    assert point_inf([pt(v=0, w=1), pt(v=1, w=0)], 2) == pt(v=1, w=1)
+    assert point_sup([pt(v=0, w=1), pt(v=1, w=0)], 2) == pt(v=0, w=0)
+
+
+@pytest.mark.parametrize("p", [(fin(0),), (fin(0), fin(0), fin(5))], ids=["short", "long"])
+def test_points_must_match_the_arity(p):
+    D = lcs([[0, 1], [1, 0]])
+    with pytest.raises(ValueError):
+        member(D, p)
+    with pytest.raises(ValueError):
+        from_generators(GeneratorSet(("v", "w"), (pt(v=0, w=0), p)))
+    for op in (point_sup, point_inf):
+        with pytest.raises(ValueError):
+            op([pt(v=0, w=0), p], 2)
 
 
 def test_membership_closed_under_lattice_ops_and_shifts():
@@ -310,8 +320,8 @@ def test_membership_closed_under_lattice_ops_and_shifts():
         sample = members if len(members) <= 12 else rng.sample(members, 12)
         for p in sample:
             for q in sample:
-                assert member(D, point_sup([p, q]))
-                assert member(D, point_inf([p, q]))
+                assert member(D, point_sup([p, q], 2))
+                assert member(D, point_inf([p, q], 2))
             for alpha in shifts:
                 assert member(D, weight_shift(p, alpha, "plus"))
                 assert member(D, weight_shift(p, alpha, "minus"))
@@ -347,8 +357,8 @@ def test_grid_members_against_direct_check():
     expected = []
     for a, b in product(values, repeat=2):
         p = pt(v=a, w=b)
-        ok = all(D.bound(x, y) >= ext_sub(p[y], p[x])
-                 for x in ("v", "w") for y in ("v", "w"))
+        ok = all(D.dbm[x][y] >= ext_sub(p[y], p[x])
+                 for x in (0, 1) for y in (0, 1))
         if ok:
             expected.append(p)
     assert got == expected
@@ -357,8 +367,7 @@ def test_grid_members_against_direct_check():
 def _grid_by_member(D, bound):
     """Every grid point, filtered through `member`, in lexicographic order."""
     grid = D.lattice.carrier_grid(bound)
-    points = (PointVector(zip(D.index, coords)) for coords in product(grid, repeat=len(D.index)))
-    return [p for p in points if member(D, p)]
+    return [p for p in product(grid, repeat=len(D.index)) if member(D, p)]
 
 
 def test_grid_members_matches_the_member_filter():
@@ -385,6 +394,39 @@ def test_grid_members_rejects_real_kind():
     D = LConvexSet("real", ("v",), ((fin(0.0),),))
     with pytest.raises(ValueError):
         grid_members(D)
+
+
+def murota_check(points, kind="lset"):
+    """Toy-scale comparison predicate for classic L-convex point sets.
+
+    Requires finite coordinates.  Checks nonemptiness, closure under
+    binary coordinatewise min/max, and presence of the +-1 constant
+    translations whenever the translated point stays inside the
+    coordinate window spanned by the list.  Topological closedness for
+    the polyhedral kind cannot be observed on a finite list and is left
+    unchecked.
+    """
+    if kind not in ("lset", "lpoly"):
+        raise ValueError("kind must be 'lset' or 'lpoly'")
+    seen = set(points)
+    if not seen:
+        return False
+    if any(x in (NEG_INF, POS_INF) for p in seen for x in p):
+        raise ValueError("infinite coordinate in explicit point list")
+    lo = min(min(t) for t in seen)
+    hi = max(max(t) for t in seen)
+    for a in seen:
+        for b in seen:
+            if tuple(min(x, y) for x, y in zip(a, b)) not in seen:
+                return False
+            if tuple(max(x, y) for x, y in zip(a, b)) not in seen:
+                return False
+    for a in seen:
+        for delta in (1, -1):
+            shifted = tuple(x + delta for x in a)
+            if all(lo <= x <= hi for x in shifted) and shifted not in seen:
+                return False
+    return True
 
 
 def test_murota_check():

@@ -18,7 +18,7 @@ from lcdual.lattices import get_lattice
 from lcdual.categories import make_category, enumerate_functors, _index_maps
 from lcdual.scalars import POS_INF, fin
 from lcdual.lconvex import (
-    PointVector, RawConstraints, closure, member, grid_members, canonical_points, make_lcs,
+    RawConstraints, closure, member, grid_members, canonical_points, make_lcs,
 )
 from lcdual.duality import enumerate_homs
 
@@ -41,8 +41,8 @@ def oracle_homs(D, E, bound):
     points = grid_members(D, bound) + canonical_points(D)
     found = []
     for choice in product(D.index, repeat=len(E.index)):
-        f = dict(zip(E.index, choice))
-        if all(member(E, PointVector({w: p[f[w]] for w in E.index})) for p in points):
+        f = [D.index.index(v) for v in choice]
+        if all(member(E, tuple(p[j] for j in f)) for p in points):
             found.append(choice)
     return found
 
