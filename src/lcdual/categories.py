@@ -72,7 +72,7 @@ def opposite(C):
                      tuple(tuple(C.hom[j][i] for j in range(n)) for i in range(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VFunctor:
     domain: VCategory
     codomain: VCategory
@@ -121,32 +121,57 @@ def _increasing(src, dst, rel, c):
 def _index_maps(src, dst, leq):
     """Every index map c that passes the increasing condition, lexicographic.
 
-    Depth-first search with forward checking (Haralick & Elliott 1980):
-    objects are assigned in src order, values tried in dst order, and each
-    assignment narrows every later object's domain to the values compatible
-    with it both ways; an empty domain cuts the branch.  leq runs only to fill
-    ok[i][k][x][y] = leq(src[i][k], dst[x][y]), |src|^2 |dst|^2 times.
+    Depth-first search with forward checking (Haralick & Elliott 1980) over
+    bitmask domains (Ullmann 1976): objects are assigned in src order,
+    values tried lowest bit first, and each assignment narrows every later
+    object's domain with one AND to the values compatible with it both ways;
+    an empty domain cuts the branch.  leq runs only to tabulate, once per
+    distinct src value and dst entry: at most len(set(src values)) * |dst|^2
+    calls.
     """
-    ok = [[[[leq(s, d) for d in drow] for drow in dst] for s in row] for row in src]
+    n = len(src)
+    if n == 0:
+        yield ()
+        return
+    rows, cols = {}, {}
+    for s in {s for row in src for s in row}:
+        ok = [[leq(s, d) for d in drow] for drow in dst]
+        rows[s] = [_mask(r) for r in ok]
+        cols[s] = [_mask(col) for col in zip(*ok)]
+    # both[i][k][x]: the y with leq(src[i][k], dst[x][y]) and leq(src[k][i], dst[y][x])
+    both = [[[r & col for r, col in zip(rows[src[i][k]], cols[src[k][i]])] for k in range(n)]
+            for i in range(n)]
+    # domains[i]: every object's domain after assigning objects 0..i-1; at
+    # first, object i may take x iff leq(src[i][i], dst[x][x]), bit x of both[i][i][x]
+    domains = [[_mask(b >> x & 1 for x, b in enumerate(both[i][i])) for i in range(n)]]
+    c, last = [0] * n, n - 1
+    untried = [domains[0][0]]  # untried[i]: the values of object i not yet tried
+    while untried:
+        i = len(untried) - 1
+        rest = untried[i]
+        if not rest:
+            untried.pop()
+            domains.pop()
+            continue
+        low = rest & -rest
+        untried[i] = rest ^ low
+        c[i] = x = low.bit_length() - 1
+        if i == last:
+            yield tuple(c)
+            continue
+        narrowed, step = domains[i][:], both[i]
+        for k in range(i + 1, n):
+            narrowed[k] &= step[k][x]
+            if not narrowed[k]:
+                break
+        else:
+            domains.append(narrowed)
+            untried.append(narrowed[i + 1])
 
-    def extend(c, domains):
-        if not domains:
-            yield c
-            return
-        i, later = len(c), domains[1:]
-        for x in domains[0]:
-            narrowed = []
-            for k, dom in enumerate(later, i + 1):
-                fwd, back = ok[i][k][x], ok[k][i]
-                dom = [y for y in dom if fwd[y] and back[y][x]]
-                if not dom:
-                    break
-                narrowed.append(dom)
-            else:
-                yield from extend(c + (x,), narrowed)
 
-    yield from extend((), [[x for x in range(len(dst)) if ok[i][i][x][x]]
-                           for i in range(len(src))])
+def _mask(bits):
+    """The int whose bit y is set iff bits[y] is true."""
+    return sum(1 << y for y, b in enumerate(bits) if b)
 
 
 def is_functor(F):

@@ -18,12 +18,12 @@ from .categories import (
     VCategory, VFunctor, make_functor, validate_category, is_functor, canonical_leq,
     enumerate_functors,
 )
-from .lconvex import LConvexSet, grid_members
+from .lconvex import LConvexSet
 
 PI_PREFIX = "pi_"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Homomorphism:
     """A homomorphism D -> E, held as the functor [E] -> [D] it is."""
     functor: VFunctor
@@ -79,15 +79,14 @@ def roundtrip_cat(A):
     return B.objects == expected and B.hom == A.hom
 
 
-def roundtrip_lcs(D, bound=None):
+def roundtrip_lcs(D):
     """Index bijection v |-> pi_v plus matrix equality.
 
-    With a bound (integer kind only) the grid members of the two sets,
-    as coordinate tuples in index order, are compared point for point.
+    Members depend only on the scalar kind and the matrix, so this is also
+    equality of the member sets.
     """
     E = cat_to_lcs(lcs_to_cat(D))
-    return (E.index == tuple(PI_PREFIX + v for v in D.index) and E.dbm == D.dbm
-            and (bound is None or grid_members(D, bound) == grid_members(E, bound)))
+    return E.index == tuple(PI_PREFIX + v for v in D.index) and E.dbm == D.dbm
 
 
 def is_homomorphism(phi):

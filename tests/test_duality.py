@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product
 from math import isfinite
@@ -52,7 +54,7 @@ def test_roundtrips_small():
     for rows in ([[0]], [[NINF]], [[0, 3], [4, 0]], [[NINF, NINF], [INF, 0]]):
         A = kcat(rows, labels=tuple("vw"[:len(rows)]))
         assert roundtrip_cat(A)
-        assert roundtrip_lcs(cat_to_lcs(A), bound=9)
+        assert roundtrip_lcs(cat_to_lcs(A))
 
 
 def test_roundtrips_random():
@@ -180,3 +182,24 @@ def test_distinct_index_maps_are_distinct_homs():
     assert const_v != const_w
     for p in grid_members(D, 2):
         assert pullback(const_v, p) == pullback(const_w, p)
+
+
+@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+def test_search_results_survive_pickle_and_copy(how):
+    dup = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+           "copy": copy.copy, "deepcopy": copy.deepcopy}[how]
+    A = kcat([[0, 1, 2], [2, 0, 1], [3, 3, 0]])
+    B = kcat([[0, 2], [1, 0]], labels=("u", "v"))
+    F = enumerate_functors(A, B)[2]
+    phi = enumerate_homs(cat_to_lcs(B), cat_to_lcs(A))[2]
+    for x in (F, phi):
+        y = dup(x)
+        assert y == x and hash(y) == hash(x)
+    G = dup(F)
+    assert G.positions == F.positions and G.object_map == F.object_map
+    assert G("c") == F("c")
+    psi = dup(phi)
+    assert psi.functor == phi.functor
+    assert psi.domain == phi.domain and psi.codomain == phi.codomain
+    assert psi.index_map == phi.index_map
+    assert psi("c") == phi("c") and pullback(psi, (0, 1)) == pullback(phi, (0, 1))

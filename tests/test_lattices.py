@@ -3,7 +3,10 @@ from math import isfinite
 
 import pytest
 
-from lcdual.lattices import get_lattice, check_adjointness, law_violations
+from lcdual.lattices import (
+    get_lattice, check_adjointness, law_violations,
+    KbarLattice, KbarPlusCartLattice, TwoLattice,
+)
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin, ext_add
 from lcdual.categories import make_category, validate_category
 
@@ -15,6 +18,33 @@ ALL_NAMES = ["two", "kbar", "kbar_plus", "kbar_plus_cart"]
 def test_law_suite_clean(name):
     L = get_lattice(name)
     assert law_violations(L, bound=3) == []
+
+
+class _KbarInfMinusInf(KbarLattice):
+    def hom(self, x, y):
+        return POS_INF if x == y == POS_INF else super().hom(x, y)
+
+
+class _CartPlusAtOne(KbarPlusCartLattice):
+    def tensor(self, x, y):
+        return ext_add(x, y) if x == 1 else super().tensor(x, y)
+
+
+class _TwoHomAlwaysTrue(TwoLattice):
+    def hom(self, x, y):
+        return TRUE
+
+
+@pytest.mark.parametrize("mutant, laws", [
+    (_KbarInfMinusInf, ["adjointness fails"]),
+    (_CartPlusAtOne, ["adjointness fails", "associativity fails", "commutativity fails"]),
+    (_TwoHomAlwaysTrue, ["adjointness fails"]),
+], ids=["kbar-hom-inf-inf", "cart-plus-at-one", "two-hom-true"])
+def test_law_suite_catches_a_broken_law(mutant, laws):
+    bad = law_violations(mutant(), bound=3)
+    assert bad
+    for law in laws:
+        assert any(line.startswith(law) for line in bad), law
 
 
 def test_adjointness_examples():

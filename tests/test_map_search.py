@@ -5,7 +5,8 @@ each other (acceptance criterion 4) cannot catch a fault in that engine.
 Here every index map is tried and checked by the definitions, written out
 independently: functors by the per-pair increasing condition, homs by
 pulling back grid members and canonical points.  A work bound catches a
-search that falls back to trying every map.
+search that calls the order more than once per distinct source value and
+target entry.
 """
 
 import random
@@ -20,10 +21,10 @@ from lcdual.scalars import POS_INF, fin
 from lcdual.lconvex import (
     RawConstraints, closure, member, grid_members, canonical_points, make_lcs,
 )
-from lcdual.duality import enumerate_homs
+from lcdual.duality import enumerate_homs, cat_to_lcs
 
-from conftest import NINF, kcat
-from test_lconvex import lcs
+from conftest import INF, NINF, kcat
+from test_lconvex import lcs, _grid_by_member
 
 
 def oracle_functors(A, B):
@@ -155,4 +156,36 @@ def test_search_work_is_bounded_by_the_condition_table(lattice):
 
         got = list(_index_maps(A.hom, B.hom, leq))
         assert [tuple(B.objects[j] for j in c) for c in got] == oracle_functors(A, B)
-        assert len(calls) <= len(A.objects) ** 2 * len(B.objects) ** 2
+        assert len(calls) <= len({v for row in A.hom for v in row}) * len(B.objects) ** 2
+
+
+def asymmetric_metric(rng, n):
+    """d(a, b) = 2|y_b - y_a| + (y_b - y_a) for random heights y."""
+    y = [rng.randint(0, 12) for _ in range(n)]
+    return [[2 * abs(y[j] - y[i]) + (y[j] - y[i]) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["sparse-1", "sparse-2", "collapsed"])
+def test_five_to_six_searches_match_oracle(kind):
+    rng = random.Random("five-to-six/" + kind)
+    A = kcat(asymmetric_metric(rng, 5), labels=tuple("abcde"))
+    B = kcat([[NINF] * 6] * 6 if kind == "collapsed" else asymmetric_metric(rng, 6),
+             labels=tuple("uvwxyz"))
+    want = oracle_functors(A, B)
+    assert functor_images(A, B) == want
+    assert hom_images(cat_to_lcs(B), cat_to_lcs(A)) == want
+    if kind == "collapsed":
+        assert len(want) == 6 ** 5
+
+
+def test_grid_members_wider_than_a_machine_word():
+    # carrier_grid(40) has 83 values, so each domain mask spans 83 bits
+    rng = random.Random(4040)
+    pool = [NINF, INF] + list(range(-50, 51))
+    found = 0
+    for _ in range(3):
+        D = lcs([[rng.choice(pool) for _ in range(2)] for _ in range(2)])
+        want = _grid_by_member(D, 40)
+        assert grid_members(D, 40) == want
+        found += len(want)
+    assert found
