@@ -3,7 +3,7 @@ difference-bound form, and the duality between them."""
 
 from .scalars import (
     NEG_INF, POS_INF, TRUE, FALSE, fin,
-    ext_add, ext_sub, trunc_add, trunc_sub,
+    ext_add, ext_sub,
     parse_scalar, format_scalar,
 )
 from .lattices import EnrichingLattice, get_lattice, check_adjointness, law_violations

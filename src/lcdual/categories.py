@@ -236,6 +236,8 @@ class Presheaf:
     def __post_init__(self):
         if len(self.values) != len(self.base.objects):
             raise ValueError("a presheaf needs one value per base object")
+        if not all(self.base.lattice.contains(x) for x in self.values):
+            raise ValueError("presheaf value outside the %r carrier" % self.base.lattice)
 
     def __call__(self, a):
         return self.values[self.base._pos[a]]

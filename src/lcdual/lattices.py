@@ -14,12 +14,7 @@ infinity tables are forced, not configurable.
 from fractions import Fraction
 from sys import float_info
 
-from .scalars import (
-    NEG_INF, POS_INF, TRUE, FALSE,
-    ext_add, ext_sub, trunc_add, trunc_sub,
-    bool_and, bool_implies, cart_max, cart_implies,
-    format_scalar,
-)
+from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_scalar
 
 
 class EnrichingLattice:
@@ -94,10 +89,17 @@ class TwoLattice(EnrichingLattice):
         return x is FALSE or y is TRUE
 
     def tensor(self, x, y):
-        return bool_and(x, y)
+        self._require_truths(x, y)
+        return TRUE if x is TRUE and y is TRUE else FALSE
 
     def hom(self, x, y):
-        return bool_implies(x, y)
+        self._require_truths(x, y)
+        return TRUE if x is FALSE or y is TRUE else FALSE
+
+    def _require_truths(self, x, y):
+        for v in (x, y):
+            if v is not TRUE and v is not FALSE:
+                raise ValueError("expected a truth value, got %s" % format_scalar(v))
 
     def sup(self, xs):
         return TRUE if TRUE in self._checked(xs) else FALSE
@@ -114,7 +116,7 @@ class _NumericLattice(EnrichingLattice):
 
     def __init__(self, scalar_kind="int"):
         super().__init__(scalar_kind)
-        # the scalar ops cannot see the kind, so the lattice owns its zero
+        # the only zero: truncated results and the empty inf are this value
         self.unit = 0.0 if scalar_kind == "real" else 0
 
     def leq(self, x, y):
@@ -169,11 +171,19 @@ class KbarPlusLattice(_NumericLattice):
         return x == POS_INF or (self._fin_ok(x) and x >= 0)
 
     def tensor(self, x, y):
-        return trunc_add(x, y)
+        self._require_nonneg(x, y)
+        return ext_add(x, y)
 
     def hom(self, x, y):
-        # hom(inf, inf) is the one zero whose kind no operand shows
-        return self.unit if x == y == POS_INF else trunc_sub(y, x)
+        # y - x truncated at the unit; subtracting inf gives the unit, even from inf
+        self._require_nonneg(x, y)
+        d = ext_sub(y, x)
+        return d if d > 0 else self.unit
+
+    def _require_nonneg(self, x, y):
+        for v in (x, y):
+            if v is TRUE or v is FALSE or not v >= 0:
+                raise ValueError("operand %s not in the nonnegative carrier" % format_scalar(v))
 
     def carrier_grid(self, bound):
         return self._grid(0, bound)
@@ -185,10 +195,12 @@ class KbarPlusCartLattice(KbarPlusLattice):
     name = "kbar_plus_cart"
 
     def tensor(self, x, y):
-        return cart_max(x, y)
+        self._require_nonneg(x, y)
+        return max(x, y)
 
     def hom(self, x, y):
-        return self.unit if x == y == POS_INF else cart_implies(x, y)
+        self._require_nonneg(x, y)
+        return self.unit if x >= y else y
 
 
 _LATTICES = {cls.name: cls for cls in

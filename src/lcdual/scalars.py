@@ -78,62 +78,6 @@ def ext_sub(y, x):
     return Fraction(y) - Fraction(x) if abs(d) == POS_INF else d
 
 
-def _require_nonneg(*xs):
-    for x in xs:
-        if isinstance(x, _Truth) or not x >= 0:
-            raise ValueError("operand %s not in the nonnegative carrier" % format_scalar(x))
-
-
-def trunc_add(x, y):
-    """Addition on the nonnegative carrier; inf absorbs."""
-    _require_nonneg(x, y)
-    return ext_add(x, y)
-
-
-def trunc_sub(y, x):
-    """Truncated subtraction y - x on the nonnegative carrier.
-
-    Subtracting inf gives 0 (even from inf); otherwise negative results
-    truncate to 0.
-    """
-    _require_nonneg(x, y)
-    d = ext_sub(y, x)
-    return d if d > 0 else _zero_like(y)
-
-
-def _zero_like(*xs):
-    """0.0 when some operand is a finite float, else the integer 0."""
-    return 0.0 if any(isinstance(x, float) and abs(x) != POS_INF for x in xs) else 0
-
-
-def _require_bool(*xs):
-    for x in xs:
-        if x is not TRUE and x is not FALSE:
-            raise ValueError("expected a truth value, got %s" % format_scalar(x))
-
-
-def bool_and(x, y):
-    _require_bool(x, y)
-    return TRUE if x is TRUE and y is TRUE else FALSE
-
-
-def bool_implies(x, y):
-    _require_bool(x, y)
-    return TRUE if x is FALSE or y is TRUE else FALSE
-
-
-def cart_max(x, y):
-    """Tensor of the max-plus variant: usual maximum."""
-    _require_nonneg(x, y)
-    return x if x >= y else y
-
-
-def cart_implies(x, y):
-    """Hom of the max-plus variant: 0 when x already dominates y, else y."""
-    _require_nonneg(x, y)
-    return _zero_like(x, y) if x >= y else y
-
-
 def format_scalar(x):
     """`inf`, `-inf`, `true`, `false`, or the number as Python prints it."""
     if isinstance(x, Fraction):  # an exact sum beyond the float range

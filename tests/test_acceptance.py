@@ -9,9 +9,7 @@ import time
 from itertools import product
 
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
-from lcdual.scalars import (
-    ext_add, ext_sub, trunc_add, trunc_sub,
-)
+from lcdual.scalars import ext_add, ext_sub
 from lcdual.lattices import get_lattice, law_violations
 from lcdual.categories import (
     make_category, make_presheaf, validate_category, enumerate_functors,
@@ -109,6 +107,7 @@ def test_criterion_1_lattice_laws():
 def test_criterion_2_extension_tables():
     t = fin(4)
     s = fin(7)
+    kp = get_lattice("kbar_plus")
     cells = [
         # x + y table, rows x in {-inf, s, inf}, columns y likewise
         (ext_add(NEG_INF, NEG_INF), NEG_INF),
@@ -131,15 +130,15 @@ def test_criterion_2_extension_tables():
         (ext_sub(t, POS_INF), NEG_INF),
         (ext_sub(POS_INF, POS_INF), NEG_INF),
         # truncated tables on the nonnegative carrier
-        (trunc_add(s, t), fin(11)),
-        (trunc_add(s, POS_INF), POS_INF),
-        (trunc_add(POS_INF, t), POS_INF),
-        (trunc_add(POS_INF, POS_INF), POS_INF),
-        (trunc_sub(t, s), fin(0)),
-        (trunc_sub(s, t), fin(3)),
-        (trunc_sub(POS_INF, s), POS_INF),
-        (trunc_sub(t, POS_INF), fin(0)),
-        (trunc_sub(POS_INF, POS_INF), fin(0)),
+        (kp.tensor(s, t), fin(11)),
+        (kp.tensor(s, POS_INF), POS_INF),
+        (kp.tensor(POS_INF, t), POS_INF),
+        (kp.tensor(POS_INF, POS_INF), POS_INF),
+        (kp.hom(s, t), fin(0)),
+        (kp.hom(t, s), fin(3)),
+        (kp.hom(s, POS_INF), POS_INF),
+        (kp.hom(POS_INF, t), fin(0)),
+        (kp.hom(POS_INF, POS_INF), fin(0)),
     ]
     bad = [i for i, (got, want) in enumerate(cells) if got != want]
     verdict(2, "forced extension tables", not bad,

@@ -153,6 +153,13 @@ def test_presheaf_checks():
     assert presheaf_dist(p, p) <= 0
 
 
+@pytest.mark.parametrize("values", [{"a": 0.5, "b": TRUE}, {"a": 0, "b": TRUE}, {"a": 0.5, "b": 0}])
+def test_presheaf_values_must_lie_in_the_carrier(values):
+    # an int kbar base admits neither floats nor truth values
+    with pytest.raises(ValueError, match="outside"):
+        make_presheaf(kcat([[0, 3], [4, 0]]), values)
+
+
 def test_two_presheaves_are_lower_sets():
     # 2-element chain a <= b
     L = get_lattice("two")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from lcdual import cli
@@ -266,6 +271,21 @@ def test_laws(capsys):
     assert main(["laws", "kbar", "--bound", "2"]) == 0
     assert "violations: 0" in capsys.readouterr().out
     assert main(["laws", "nope"]) == 2
+
+
+def test_laws_as_a_process():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "lcdual.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("laws", "kbar_plus_cart")
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "violations: 0"
+    done = run("laws", "nope")
+    assert done.returncode == 2
+    assert "unknown lattice" in done.stderr
 
 
 def test_missing_file(capsys):

@@ -20,6 +20,65 @@ def test_law_suite_clean(name):
     assert law_violations(L, bound=3) == []
 
 
+def _kbar_tensor(x, y, zero):
+    if POS_INF in (x, y):
+        return POS_INF
+    return NEG_INF if NEG_INF in (x, y) else x + y
+
+
+def _kbar_hom(x, y, zero):
+    if x == POS_INF or y == NEG_INF:
+        return NEG_INF
+    return POS_INF if x == NEG_INF or y == POS_INF else y - x
+
+
+def _plus_tensor(x, y, zero):
+    return POS_INF if POS_INF in (x, y) else x + y
+
+
+def _plus_hom(x, y, zero):
+    if x == POS_INF:
+        return zero
+    return POS_INF if y == POS_INF else y - x if y > x else zero
+
+
+def _cart_tensor(x, y, zero):
+    return POS_INF if POS_INF in (x, y) else y if y > x else x
+
+
+def _cart_hom(x, y, zero):
+    return zero if x >= y else y
+
+
+_AND = {(TRUE, TRUE): TRUE, (TRUE, FALSE): FALSE, (FALSE, TRUE): FALSE, (FALSE, FALSE): FALSE}
+_IMPLIES = {(TRUE, TRUE): TRUE, (TRUE, FALSE): FALSE, (FALSE, TRUE): TRUE, (FALSE, FALSE): TRUE}
+
+# the README table, written out with its infinity cases: (tensor, hom)
+TABLES = {
+    "two": (lambda x, y, zero: _AND[x, y], lambda x, y, zero: _IMPLIES[x, y]),
+    "kbar": (_kbar_tensor, _kbar_hom),
+    "kbar_plus": (_plus_tensor, _plus_hom),
+    "kbar_plus_cart": (_cart_tensor, _cart_hom),
+}
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_operation_tables(name, kind):
+    L = get_lattice(name, kind)
+    zero = 0.0 if kind == "real" else 0
+    grid = L.carrier_grid(2)
+    if kind == "real" and name != "two":  # the real carrier also holds int payloads
+        grid += [int(x) for x in grid if isfinite(x)]
+    tensor, hom = TABLES[name]
+    for x in grid:
+        for y in grid:
+            for op, want in ((L.tensor, tensor(x, y, zero)), (L.hom, hom(x, y, zero))):
+                got = op(x, y)
+                # the payload type too: a real lattice's zero is 0.0 for any operands
+                assert got == want and type(got) is type(want), (op.__name__, x, y, got)
+
+
 class _KbarInfMinusInf(KbarLattice):
     def hom(self, x, y):
         return POS_INF if x == y == POS_INF else super().hom(x, y)

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from lcdual.scalars import (
     NEG_INF, POS_INF, TRUE, FALSE, fin,
-    ext_add, ext_sub, trunc_add, trunc_sub,
-    bool_and, bool_implies, cart_max, cart_implies,
+    ext_add, ext_sub,
     parse_scalar, format_scalar,
 )
 from lcdual.lattices import get_lattice
@@ -42,38 +41,42 @@ def test_ext_sub_table():
 
 
 def test_trunc_tables():
-    assert trunc_sub(POS_INF, POS_INF) == fin(0)
-    assert trunc_sub(fin(4), POS_INF) == fin(0)
-    assert trunc_sub(fin(3), fin(5)) == fin(0)
-    assert trunc_sub(fin(5), fin(3)) == fin(2)
-    assert trunc_sub(POS_INF, fin(4)) == POS_INF
-    assert trunc_add(fin(2), fin(3)) == fin(5)
-    assert trunc_add(POS_INF, fin(1)) == POS_INF
-    assert trunc_add(fin(0), POS_INF) == POS_INF
+    kp = get_lattice("kbar_plus")
+    assert kp.hom(POS_INF, POS_INF) == fin(0)
+    assert kp.hom(POS_INF, fin(4)) == fin(0)
+    assert kp.hom(fin(5), fin(3)) == fin(0)
+    assert kp.hom(fin(3), fin(5)) == fin(2)
+    assert kp.hom(fin(4), POS_INF) == POS_INF
+    assert kp.tensor(fin(2), fin(3)) == fin(5)
+    assert kp.tensor(POS_INF, fin(1)) == POS_INF
+    assert kp.tensor(fin(0), POS_INF) == POS_INF
 
 
 def test_trunc_rejects_negatives():
+    kp = get_lattice("kbar_plus")
     with pytest.raises(ValueError):
-        trunc_add(NEG_INF, fin(1))
+        kp.tensor(NEG_INF, fin(1))
     with pytest.raises(ValueError):
-        trunc_sub(fin(1), fin(-2))
+        kp.hom(fin(-2), fin(1))
 
 
 def test_bool_ops():
-    assert bool_implies(FALSE, FALSE) == TRUE
-    assert bool_implies(TRUE, FALSE) == FALSE
-    assert bool_implies(FALSE, TRUE) == TRUE
-    assert bool_and(TRUE, TRUE) == TRUE
-    assert bool_and(TRUE, FALSE) == FALSE
+    two = get_lattice("two")
+    assert two.hom(FALSE, FALSE) == TRUE
+    assert two.hom(TRUE, FALSE) == FALSE
+    assert two.hom(FALSE, TRUE) == TRUE
+    assert two.tensor(TRUE, TRUE) == TRUE
+    assert two.tensor(TRUE, FALSE) == FALSE
 
 
 def test_cart_ops():
-    assert cart_implies(fin(5), fin(3)) == fin(0)
-    assert cart_implies(fin(2), fin(7)) == fin(7)
-    assert cart_implies(POS_INF, fin(9)) == fin(0)
-    assert isinstance(cart_implies(POS_INF, fin(2.5)), float)
-    assert cart_max(fin(2), fin(7)) == fin(7)
-    assert cart_max(POS_INF, fin(7)) == POS_INF
+    cart = get_lattice("kbar_plus_cart")
+    assert cart.hom(fin(5), fin(3)) == fin(0)
+    assert cart.hom(fin(2), fin(7)) == fin(7)
+    assert cart.hom(POS_INF, fin(9)) == fin(0)
+    assert isinstance(get_lattice("kbar_plus_cart", "real").hom(POS_INF, fin(2.5)), float)
+    assert cart.tensor(fin(2), fin(7)) == fin(7)
+    assert cart.tensor(POS_INF, fin(7)) == POS_INF
 
 
 def test_sup_inf_conventions():
