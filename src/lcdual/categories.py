@@ -12,6 +12,7 @@ views are read off these tuples.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import eq
 
 from .scalars import format_scalar
@@ -72,6 +73,9 @@ def opposite(C):
                      tuple(tuple(C.hom[j][i] for j in range(n)) for i in range(n)))
 
 
+_BAD_POSITIONS = "a functor needs one codomain index per domain object"
+
+
 @dataclass(frozen=True, slots=True)
 class VFunctor:
     domain: VCategory
@@ -79,10 +83,13 @@ class VFunctor:
     positions: tuple  # positions[i]: codomain index of the image of domain.objects[i]
 
     def __post_init__(self):
+        # a plain loop, not all() over a generator: this runs on every search result
         n = len(self.codomain.objects)
-        if len(self.positions) != len(self.domain.objects) or not all(
-                type(j) is int and 0 <= j < n for j in self.positions):
-            raise ValueError("a functor needs one codomain index per domain object")
+        if len(self.positions) != len(self.domain.objects):
+            raise ValueError(_BAD_POSITIONS)
+        for j in self.positions:
+            if type(j) is not int or not 0 <= j < n:
+                raise ValueError(_BAD_POSITIONS)
 
     @property
     def object_map(self):
@@ -125,7 +132,9 @@ def _index_maps(src, dst, leq):
     bitmask domains (Ullmann 1976): objects are assigned in src order,
     values tried lowest bit first, and each assignment narrows every later
     object's domain with one AND to the values compatible with it both ways;
-    an empty domain cuts the branch.  leq runs only to tabulate, once per
+    an empty domain cuts the branch.  Once every object but the last is
+    assigned, each value left in the last object's domain completes a map,
+    so that level is emitted whole.  leq runs only to tabulate, once per
     distinct src value and dst entry: at most len(set(src values)) * |dst|^2
     calls.
     """
@@ -133,18 +142,32 @@ def _index_maps(src, dst, leq):
     if n == 0:
         yield ()
         return
+    powers = [1 << y for y in range(len(dst))]
     rows, cols = {}, {}
     for s in {s for row in src for s in row}:
         ok = [[leq(s, d) for d in drow] for drow in dst]
-        rows[s] = [_mask(r) for r in ok]
-        cols[s] = [_mask(col) for col in zip(*ok)]
+        rows[s] = [sum(compress(powers, r)) for r in ok]
+        cols[s] = [sum(compress(powers, col)) for col in zip(*ok)]
     # both[i][k][x]: the y with leq(src[i][k], dst[x][y]) and leq(src[k][i], dst[y][x])
     both = [[[r & col for r, col in zip(rows[src[i][k]], cols[src[k][i]])] for k in range(n)]
             for i in range(n)]
     # domains[i]: every object's domain after assigning objects 0..i-1; at
     # first, object i may take x iff leq(src[i][i], dst[x][x]), bit x of both[i][i][x]
-    domains = [[_mask(b >> x & 1 for x, b in enumerate(both[i][i])) for i in range(n)]]
-    c, last = [0] * n, n - 1
+    domains = [[sum(compress(powers, [b >> x & 1 for x, b in enumerate(both[i][i])]))
+                for i in range(n)]]
+    last = n - 1
+    tails = {}  # a last-object domain mask -> its values as 1-tuples, lowest first
+
+    def values(mask):
+        t = tails.get(mask)
+        if t is None:
+            t = tails[mask] = tuple((y,) for y in range(mask.bit_length()) if mask >> y & 1)
+        return t
+
+    if last == 0:
+        yield from values(domains[0][0])
+        return
+    c = [0] * last
     untried = [domains[0][0]]  # untried[i]: the values of object i not yet tried
     while untried:
         i = len(untried) - 1
@@ -156,8 +179,10 @@ def _index_maps(src, dst, leq):
         low = rest & -rest
         untried[i] = rest ^ low
         c[i] = x = low.bit_length() - 1
-        if i == last:
-            yield tuple(c)
+        if i == last - 1:
+            tail = domains[i][last] & both[i][last][x]
+            if tail:
+                yield from map(tuple(c).__add__, values(tail))
             continue
         narrowed, step = domains[i][:], both[i]
         for k in range(i + 1, n):
@@ -167,11 +192,6 @@ def _index_maps(src, dst, leq):
         else:
             domains.append(narrowed)
             untried.append(narrowed[i + 1])
-
-
-def _mask(bits):
-    """The int whose bit y is set iff bits[y] is true."""
-    return sum(1 << y for y, b in enumerate(bits) if b)
 
 
 def is_functor(F):

@@ -138,23 +138,36 @@ def cmd_hull(args):
     return 0
 
 
-def _print_maps(labels, maps):
-    for f in maps:
-        print(",".join("%s:%s" % (a, f(a)) for a in labels))
+def _print_maps(maps):
+    """One line per map from its (source label, target label) pairs, then the count."""
+    for pairs in maps:
+        print(",".join(map("%s:%s".__mod__, pairs)))
     print("count: %d" % len(maps))
     return 0
+
+
+def _invalid(*cats):
+    """The law violations of each distinct input, in argument order."""
+    distinct = [C for k, C in enumerate(cats) if C not in cats[:k]]
+    return [msg for C in distinct for msg in validate_category(C)]
 
 
 def cmd_functors(args):
     A = docfiles.to_category(_load(args.domain))
     B = docfiles.to_category(_load(args.codomain))
-    return _print_maps(A.objects, enumerate_functors(A, B))
+    bad = _invalid(A, B)
+    if bad:
+        return _report(bad)
+    return _print_maps([F.object_map for F in enumerate_functors(A, B)])
 
 
 def cmd_homs(args):
     D = docfiles.to_lcs(_load(args.domain))
     E = docfiles.to_lcs(_load(args.codomain))
-    return _print_maps(E.index, enumerate_homs(D, E))
+    bad = _invalid(D, E)
+    if bad:
+        return _report(bad)
+    return _print_maps([phi.index_map for phi in enumerate_homs(D, E)])
 
 
 def cmd_leq(args):
@@ -164,12 +177,12 @@ def cmd_leq(args):
         raise DocumentError("leq needs exactly two --map specs")
     m1, m2 = (_parse_map_spec(s) for s in args.map)
     if dom_doc.kind == "kcategory" and cod_doc.kind == "kcategory":
-        A, B = docfiles.to_category(dom_doc), docfiles.to_category(cod_doc)
-        what = "functor"
+        dom, cod = docfiles.to_category(dom_doc), docfiles.to_category(cod_doc)
+        A, B, what = dom, cod, "functor"
     elif dom_doc.kind == "lconvex" and cod_doc.kind == "lconvex":
+        dom, cod = docfiles.to_lcs(dom_doc), docfiles.to_lcs(cod_doc)
         # a homomorphism D -> E is the functor [E] -> [D] with the same index map
-        A, B = docfiles.to_lcs(cod_doc), docfiles.to_lcs(dom_doc)
-        what = "homomorphism"
+        A, B, what = cod, dom, "homomorphism"
     else:
         raise DocumentError("leq expects two kcategory files or two lconvex files")
     try:
@@ -179,6 +192,9 @@ def cmd_leq(args):
         raise DocumentError("bad map spec: %s" % exc)
     if not is_functor(F) or not is_functor(G):
         raise DocumentError("a map spec is not a %s" % what)
+    bad = _invalid(dom, cod)
+    if bad:
+        return _report(bad)
     forward, backward = canonical_leq(F, G), canonical_leq(G, F)
     print("forward: %s" % ("true" if forward else "false"))
     print("backward: %s" % ("true" if backward else "false"))

@@ -190,5 +190,5 @@ def grid_members(D, bound=3):
     # members are the functors from D into the grid enriched over itself:
     # p is one iff dbm[v][w] is below hom(p(v), p(w)) in kbar
     L, grid = D.lattice, D.lattice.carrier_grid(bound)
-    return [tuple(grid[j] for j in c)
+    return [tuple(map(grid.__getitem__, c))
             for c in _index_maps(D.dbm, self_enrichment(L, grid).hom, L.leq)]

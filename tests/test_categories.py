@@ -213,8 +213,9 @@ def test_mismatched_functors_rejected():
 
 def test_vfunctor_rejects_bad_positions():
     C = kcat([[0, 3], [4, 0]])
-    for bad in ((0,), (0, 1, 0), (0, 2), (0, -1), (0, True)):
-        with pytest.raises(ValueError):
+    for bad in ((0,), (0, 1, 0), (0, 2), (0, -1), (0, True), (0, 1.0), (0, "1")):
+        with pytest.raises(ValueError,
+                           match="^a functor needs one codomain index per domain object$"):
             VFunctor(C, C, bad)
 
 

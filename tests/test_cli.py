@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from lcdual import cli
+from lcdual.categories import enumerate_functors
 from lcdual.cli import main
+from lcdual.docfiles import parse_document, to_category, to_lcs
+from lcdual.duality import enumerate_homs
 
 
 BAND_KCAT = """\
@@ -192,6 +195,58 @@ def test_functors_and_homs(write, capsys):
     assert main(["homs", d, d]) == 0
     out = capsys.readouterr().out
     assert "count: 4" in out
+
+
+def _collapsed(kind, labels):
+    key, entry = ("points", "hom") if kind == "kcategory" else ("index", "d")
+    return "kind: %s\nscalar: int\n%s: %s\n" % (kind, key, " ".join(labels)) + "".join(
+        "%s: %s %s -inf\n" % (entry, a, b) for a in labels for b in labels)
+
+
+def test_maps_print_label_by_label(write, capsys):
+    # a dense 3 -> 3 pair keeps all 27 maps
+    kcat, lcx = _collapsed("kcategory", "uvw"), _collapsed("lconvex", "uvw")
+    A, D = to_category(parse_document(kcat)), to_lcs(parse_document(lcx))
+    for command, path, labels, maps in (
+            ("functors", write("c.kcat", kcat), A.objects, enumerate_functors(A, A)),
+            ("homs", write("c.lcx", lcx), D.index, enumerate_homs(D, D))):
+        assert main([command, path, path]) == 0
+        want = [",".join("%s:%s" % (a, f(a)) for a in labels) for f in maps]
+        assert capsys.readouterr().out == "\n".join(want + ["count: 27"]) + "\n"
+
+
+# the self-distance at a is 1, so the identity law fails there
+INVALID_KCAT = "kind: kcategory\nscalar: int\npoints: a b\n" \
+               "hom: a a 1\nhom: a b 5\nhom: b a 1\nhom: b b 0\n"
+INVALID_LCX = BAND_LCX.replace("d: v v 0", "d: v v 1")
+
+
+def identity_fails(a):
+    return ["identity law fails at %s: unit 0 is not below hom 1" % a]
+
+
+def test_functors_reports_an_invalid_input(write, capsys):
+    bad, good = write("inv.kcat", INVALID_KCAT), write("band.kcat", BAND_KCAT)
+    for argv in (["functors", bad, good], ["functors", good, bad], ["functors", bad, bad]):
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines() == identity_fails("a")
+
+
+def test_homs_reports_an_invalid_input(write, capsys):
+    bad, good = write("inv.lcx", INVALID_LCX), write("band.lcx", BAND_LCX)
+    for argv in (["homs", bad, good], ["homs", good, bad], ["homs", bad, bad]):
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines() == identity_fails("v")
+
+
+def test_leq_reports_an_invalid_input(write, capsys):
+    for text, spec, a in ((INVALID_KCAT, "a:a,b:b", "a"), (INVALID_LCX, "v:v,w:w", "v")):
+        bad = write("inv.txt", text)
+        assert main(["leq", bad, bad, "--map", spec, "--map", spec]) == 1
+        assert capsys.readouterr().out.splitlines() == identity_fails(a)
+        # map-spec errors are still reported first, as malformed input
+        assert main(["leq", bad, bad, "--map", spec, "--map", spec + ",zz:" + a]) == 2
+        assert "bad map spec" in capsys.readouterr().err
 
 
 def test_leq_functors(write, capsys):

@@ -16,7 +16,7 @@ from math import isfinite
 import pytest
 
 from lcdual.lattices import get_lattice
-from lcdual.categories import make_category, enumerate_functors, _index_maps
+from lcdual.categories import VFunctor, make_category, enumerate_functors, _index_maps
 from lcdual.scalars import POS_INF, fin
 from lcdual.lconvex import (
     RawConstraints, closure, member, grid_members, canonical_points, make_lcs,
@@ -165,12 +165,17 @@ def asymmetric_metric(rng, n):
     return [[2 * abs(y[j] - y[i]) + (y[j] - y[i]) for j in range(n)] for i in range(n)]
 
 
-@pytest.mark.parametrize("kind", ["sparse-1", "sparse-2", "collapsed"])
-def test_five_to_six_searches_match_oracle(kind):
+def five_to_six(kind):
     rng = random.Random("five-to-six/" + kind)
     A = kcat(asymmetric_metric(rng, 5), labels=tuple("abcde"))
     B = kcat([[NINF] * 6] * 6 if kind == "collapsed" else asymmetric_metric(rng, 6),
              labels=tuple("uvwxyz"))
+    return A, B
+
+
+@pytest.mark.parametrize("kind", ["sparse-1", "sparse-2", "collapsed"])
+def test_five_to_six_searches_match_oracle(kind):
+    A, B = five_to_six(kind)
     want = oracle_functors(A, B)
     assert functor_images(A, B) == want
     assert hom_images(cat_to_lcs(B), cat_to_lcs(A)) == want
@@ -178,13 +183,60 @@ def test_five_to_six_searches_match_oracle(kind):
         assert len(want) == 6 ** 5
 
 
+def test_every_search_result_is_checked(monkeypatch):
+    calls = []
+    check = VFunctor.__post_init__
+
+    def counted(self):
+        calls.append(self.positions)
+        check(self)
+
+    monkeypatch.setattr(VFunctor, "__post_init__", counted)
+    A, B = five_to_six("collapsed")
+    assert len(enumerate_functors(A, B)) == len(calls) == 6 ** 5
+    calls.clear()
+    assert len(enumerate_homs(cat_to_lcs(B), cat_to_lcs(A))) == len(calls) == 6 ** 5
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_and_two_object_domains_match_oracle(lattice, n):
+    # the last object's values are emitted as one level; with one object
+    # that level is the first, with two it hangs off the first
+    L = get_lattice(lattice)
+    rng = random.Random("last-level/%s/%d" % (lattice, n))
+    kept = rejected = 0
+    for _ in range(40):
+        A = random_category(rng, L, n, ("a", "b"))
+        B = random_category(rng, L, rng.randint(1, 6), "uvwxyz")
+        want = oracle_functors(A, B)
+        assert functor_images(A, B) == want
+        kept += len(want)
+        rejected += len(B.objects) ** n - len(want)
+    assert kept and rejected
+
+
+@pytest.mark.parametrize("kind", ["collapsed", "random"])
+@pytest.mark.parametrize("n,m", [(2, 70), (3, 66)])
+def test_codomains_wider_than_a_machine_word(kind, n, m):
+    rng = random.Random("wide/%s/%d" % (kind, m))
+    A = kcat(asymmetric_metric(rng, n), labels=tuple("abc"[:n]))
+    B = kcat([[NINF] * m] * m if kind == "collapsed" else asymmetric_metric(rng, m),
+             labels=tuple("o%d" % k for k in range(m)))
+    want = oracle_functors(A, B)
+    assert functor_images(A, B) == want
+    assert hom_images(cat_to_lcs(B), cat_to_lcs(A)) == want
+    assert len(want) == m ** n if kind == "collapsed" else 0 < len(want) < m ** n
+
+
 def test_grid_members_wider_than_a_machine_word():
     # carrier_grid(40) has 83 values, so each domain mask spans 83 bits
     rng = random.Random(4040)
     pool = [NINF, INF] + list(range(-50, 51))
     found = 0
-    for _ in range(3):
-        D = lcs([[rng.choice(pool) for _ in range(2)] for _ in range(2)])
+    sets = [lcs([[x]], labels=("v",)) for x in (NINF, 0, INF, 3, -3)]
+    sets += [lcs([[rng.choice(pool) for _ in range(2)] for _ in range(2)]) for _ in range(3)]
+    for D in sets:
         want = _grid_by_member(D, 40)
         assert grid_members(D, 40) == want
         found += len(want)
