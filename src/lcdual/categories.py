@@ -76,20 +76,28 @@ def opposite(C):
 _BAD_POSITIONS = "a functor needs one codomain index per domain object"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VFunctor:
     domain: VCategory
     codomain: VCategory
     positions: tuple  # positions[i]: codomain index of the image of domain.objects[i]
 
-    def __post_init__(self):
-        # a plain loop, not all() over a generator: this runs on every search result
-        n = len(self.codomain.objects)
-        if len(self.positions) != len(self.domain.objects):
+    def __init__(self, domain, codomain, positions):
+        # Written out, unlike the generated __init__ and __post_init__ that
+        # VCategory, Presheaf and LConvexSet keep (a request builds O(1)-O(n)
+        # of those): this runs on every search result.  The check is a plain
+        # loop, not all() over a generator, and the fields go straight into
+        # their slots, past the frozen __setattr__, instead of through three
+        # object.__setattr__ calls and a __post_init__ call.
+        n = len(codomain.objects)
+        if len(positions) != len(domain.objects):
             raise ValueError(_BAD_POSITIONS)
-        for j in self.positions:
+        for j in positions:
             if type(j) is not int or not 0 <= j < n:
                 raise ValueError(_BAD_POSITIONS)
+        _set_domain(self, domain)
+        _set_codomain(self, codomain)
+        _set_positions(self, positions)
 
     @property
     def object_map(self):
@@ -98,6 +106,10 @@ class VFunctor:
 
     def __call__(self, a):
         return self.codomain.objects[self.positions[self.domain._pos[a]]]
+
+
+_set_domain, _set_codomain, _set_positions = (
+    VFunctor.__dict__[name].__set__ for name in ("domain", "codomain", "positions"))
 
 
 def make_functor(domain, codomain, mapping):

@@ -23,10 +23,14 @@ from .lconvex import LConvexSet
 PI_PREFIX = "pi_"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Homomorphism:
     """A homomorphism D -> E, held as the functor [E] -> [D] it is."""
     functor: VFunctor
+
+    def __init__(self, functor):
+        # one per search result, so stored like VFunctor's fields: see there
+        _set_functor(self, functor)
 
     domain = property(lambda self: self.functor.codomain)
     codomain = property(lambda self: self.functor.domain)
@@ -35,6 +39,9 @@ class Homomorphism:
 
     def __call__(self, w):
         return self.functor(w)
+
+
+_set_functor = Homomorphism.__dict__["functor"].__set__
 
 
 def make_homomorphism(D, E, mapping):

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 from itertools import product
 
@@ -213,10 +215,31 @@ def test_mismatched_functors_rejected():
 
 def test_vfunctor_rejects_bad_positions():
     C = kcat([[0, 3], [4, 0]])
-    for bad in ((0,), (0, 1, 0), (0, 2), (0, -1), (0, True), (0, 1.0), (0, "1")):
-        with pytest.raises(ValueError,
-                           match="^a functor needs one codomain index per domain object$"):
-            VFunctor(C, C, bad)
+    for bad in ((0,), (0, 1, 0), (0, 2), (0, 99), (0, -1), (0, True), (0, 1.0), (0, "1")):
+        for build in (lambda: VFunctor(C, C, bad),
+                      lambda: dataclasses.replace(identity_functor(C), positions=bad)):
+            with pytest.raises(ValueError,
+                               match="^a functor needs one codomain index per domain object$"):
+                build()
+
+
+def test_search_built_functors_are_frozen():
+    A = kcat([[0, 1, 2], [2, 0, 1], [3, 3, 0]])
+    B = kcat([[0, 2], [1, 0]], labels=("u", "v"))
+    for F in enumerate_functors(A, B):
+        before = (F.domain, F.codomain, F.positions)
+        for f in dataclasses.fields(F):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(F, f.name, getattr(F, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(F, f.name)
+        assert (F.domain, F.codomain, F.positions) == before
+
+
+def test_vfunctor_init_takes_every_field():
+    # the hand-written __init__ stores each field itself: a field added later must be a parameter
+    params = list(inspect.signature(VFunctor.__init__).parameters)
+    assert params == ["self"] + [f.name for f in dataclasses.fields(VFunctor)]
 
 
 def _random_enriched(rng, L):

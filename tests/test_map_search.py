@@ -184,14 +184,15 @@ def test_five_to_six_searches_match_oracle(kind):
 
 
 def test_every_search_result_is_checked(monkeypatch):
+    # the positions check lives in VFunctor.__init__, so every result must pass through it
     calls = []
-    check = VFunctor.__post_init__
+    init = VFunctor.__init__
 
-    def counted(self):
-        calls.append(self.positions)
-        check(self)
+    def counted(self, domain, codomain, positions):
+        calls.append(positions)
+        init(self, domain, codomain, positions)
 
-    monkeypatch.setattr(VFunctor, "__post_init__", counted)
+    monkeypatch.setattr(VFunctor, "__init__", counted)
     A, B = five_to_six("collapsed")
     assert len(enumerate_functors(A, B)) == len(calls) == 6 ** 5
     calls.clear()
