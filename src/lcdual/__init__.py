@@ -15,7 +15,7 @@ from .categories import (
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
 )
 from .lconvex import (
-    LConvexSet, RawConstraints, GeneratorSet,
+    LConvexSet, GeneratorSet,
     make_lcs, validate_lcs, member, from_generators, closure, weight_shift,
     point_sup, point_inf, canonical_points, grid_members,
 )

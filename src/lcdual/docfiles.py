@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 from .scalars import parse_scalar, format_scalar
 from .lattices import get_lattice
 from .categories import VCategory
-from .lconvex import LConvexSet, RawConstraints, GeneratorSet
+from .lconvex import LConvexSet, GeneratorSet
 
 MATRIX_KINDS = ("kcategory", "lconvex", "constraints")
 POINT_KINDS = ("points", "generators")
 KINDS = MATRIX_KINDS + POINT_KINDS
+# the label-list key and the matrix-entry key of each kind
+_KEYS = {kind: ("points", "hom") if kind == "kcategory" else ("index", "d") for kind in KINDS}
 
 
 class DocumentError(Exception):
@@ -42,13 +44,8 @@ class Document:
     matrix: tuple = None       # for matrix kinds
     points: tuple = field(default=None)  # for point kinds: tuples of scalars
 
-    @property
-    def entry_key(self):
-        return "hom" if self.kind == "kcategory" else "d"
-
-    @property
-    def label_key(self):
-        return "points" if self.kind == "kcategory" else "index"
+    label_key = property(lambda self: _KEYS[self.kind][0])
+    entry_key = property(lambda self: _KEYS[self.kind][1])
 
 
 def _is_identifier(label):
@@ -90,7 +87,7 @@ def parse_document(text):
                 raise DocumentError("label list after body lines", lineno)
             if kind is None:
                 raise DocumentError("label list before the kind header", lineno)
-            expected = "points" if kind == "kcategory" else "index"
+            expected = _KEYS[kind][0]
             if key != expected:
                 raise DocumentError("kind %s uses a %r label list, not %r"
                                     % (kind, expected, key), lineno)
@@ -109,7 +106,7 @@ def parse_document(text):
                 raise DocumentError("matrix entry before the headers", lineno)
             if kind not in MATRIX_KINDS:
                 raise DocumentError("kind %s has no matrix entries" % kind, lineno)
-            expected = "hom" if kind == "kcategory" else "d"
+            expected = _KEYS[kind][1]
             if key != expected:
                 raise DocumentError("kind %s uses %r entries, not %r"
                                     % (kind, expected, key), lineno)
@@ -190,7 +187,7 @@ def to_lcs(doc):
 def to_constraints(doc):
     if doc.kind not in ("constraints", "lconvex"):
         raise DocumentError("expected a constraints document, got kind %s" % doc.kind)
-    return RawConstraints(doc.scalar, doc.labels, doc.matrix)
+    return LConvexSet(doc.scalar, doc.labels, doc.matrix)
 
 
 def to_generators(doc):

@@ -11,8 +11,7 @@ instances are a closed enumeration: their empty-sup/inf conventions and
 infinity tables are forced, not configurable.
 """
 
-from fractions import Fraction
-from sys import float_info
+from decimal import Decimal
 
 from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_scalar
 
@@ -50,17 +49,11 @@ class EnrichingLattice:
         """Finite slice of the carrier used by exhaustive law checks."""
         raise NotImplementedError
 
-    def _beyond_floats(self, x):
-        """Whether x is an exact sum or difference past the float range."""
-        return False
-
     def _checked(self, xs):
-        """xs as a list, each member checked to lie in the carrier, or beyond
-        the float range as an exact ext_add/ext_sub result (compared exactly
-        like any term; only the carrier check on storing refuses it)."""
+        """xs as a list, each member checked to lie in the carrier."""
         xs = list(xs)
         for x in xs:
-            if not self.contains(x) and not self._beyond_floats(x):
+            if not self.contains(x):
                 raise ValueError("outside carrier: %s" % format_scalar(x))
         return xs
 
@@ -117,13 +110,10 @@ class _NumericLattice(EnrichingLattice):
     def __init__(self, scalar_kind="int"):
         super().__init__(scalar_kind)
         # the only zero: truncated results and the empty inf are this value
-        self.unit = 0.0 if scalar_kind == "real" else 0
+        self.unit = Decimal(0) if scalar_kind == "real" else 0
 
     def leq(self, x, y):
         return x >= y
-
-    def _beyond_floats(self, x):
-        return type(x) is Fraction and abs(x) > float_info.max
 
     def sup(self, xs):
         # lattice sup = usual minimum; empty sup is the lattice bottom.
@@ -133,12 +123,12 @@ class _NumericLattice(EnrichingLattice):
         return max(self._checked(xs), default=self._top)
 
     def _fin_ok(self, v):
-        """An int (not a bool), or for the real kind also a finite float."""
-        return type(v) is int or (self.scalar_kind == "real" and type(v) is float
-                                  and NEG_INF < v < POS_INF)
+        """An int (not a bool), or for the real kind also a finite Decimal."""
+        return type(v) is int or (self.scalar_kind == "real" and type(v) is Decimal
+                                  and v.is_finite())
 
     def _grid(self, lo, bound):
-        mk = float if self.scalar_kind == "real" else int
+        mk = Decimal if self.scalar_kind == "real" else int
         return [mk(v) for v in range(lo, bound + 1)] + [POS_INF]
 
 
@@ -149,7 +139,8 @@ class KbarLattice(_NumericLattice):
     _top = NEG_INF
 
     def contains(self, x):
-        return x == POS_INF or x == NEG_INF or self._fin_ok(x)
+        # a type test: Decimal("Infinity") == POS_INF, but is no payload
+        return self._fin_ok(x) or type(x) is float and (x == POS_INF or x == NEG_INF)
 
     def tensor(self, x, y):
         return ext_add(x, y)
@@ -168,7 +159,7 @@ class KbarPlusLattice(_NumericLattice):
     _top = property(lambda self: self.unit)
 
     def contains(self, x):
-        return x == POS_INF or (self._fin_ok(x) and x >= 0)
+        return self._fin_ok(x) and x >= 0 or type(x) is float and x == POS_INF
 
     def tensor(self, x, y):
         self._require_nonneg(x, y)

@@ -15,7 +15,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 from lcdual.scalars import NEG_INF, POS_INF, fin
 from lcdual.categories import make_category
-from lcdual.lconvex import RawConstraints, closure
+from lcdual.lconvex import closure, make_lcs
 
 
 def kcat(rows, labels=None, kind="int"):
@@ -44,9 +44,8 @@ def random_valid_lcs(rng, n_indices, entry_bound=3, labels=None):
     if labels is None:
         labels = tuple("vwxyz"[:n_indices])
     pool = [NEG_INF, POS_INF] + [fin(v) for v in range(-entry_bound, entry_bound + 1)]
-    rows = tuple(tuple(rng.choice(pool) for _ in range(n_indices))
-                 for _ in range(n_indices))
-    return closure(RawConstraints("int", labels, rows))
+    rows = [[rng.choice(pool) for _ in range(n_indices)] for _ in range(n_indices)]
+    return closure(make_lcs(labels, rows))
 
 
 def random_valid_kcat(rng, n_objects, entry_bound=3):

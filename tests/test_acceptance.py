@@ -6,6 +6,7 @@ capture) so the verdict per criterion is always visible.
 
 import random
 import time
+from decimal import Decimal
 from itertools import product
 
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
@@ -16,8 +17,7 @@ from lcdual.categories import (
     canonical_leq, verify_yoneda, is_presheaf, yoneda,
 )
 from lcdual.lconvex import (
-    RawConstraints, closure, grid_members, member,
-    canonical_points,
+    closure, grid_members, member, canonical_points, make_lcs,
 )
 from lcdual.duality import (
     cat_to_lcs, lcs_to_cat, roundtrip_cat, roundtrip_lcs,
@@ -381,10 +381,9 @@ def test_criterion_9_closure_oracle():
         n = rng.randint(1, 4)
         labels = tuple("vwxy"[:n])
         rows = tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(n))
-        c = RawConstraints("int", labels, rows)
-        D = closure(c)
+        D = closure(make_lcs(labels, rows))
 
-        again = closure(RawConstraints("int", labels, D.dbm))
+        again = closure(D)
         if again.dbm != D.dbm:
             not_idempotent += 1
 
@@ -410,6 +409,21 @@ def test_criterion_9_closure_oracle():
             if oracle_satisfies(dn, ptv) != oracle_satisfies(cn, ptv):
                 disagreements += 1
                 break
-    verdict(9, "closure oracle", disagreements == 0 and not_idempotent == 0,
-            "200 random constraint matrices; %d disagreements, %d idempotence failures"
-            % (disagreements, not_idempotent))
+    # the real kind against an exact oracle: a one-decimal matrix, times 10,
+    # is an int matrix, and scaling commutes with closure
+    real_disagreements = 0
+    pool = [NEG_INF, POS_INF] + list(range(-30, 91))
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        labels = tuple("vwxyz"[:n])
+        tenths = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        rows = [[x if x in (INF, NINF) else Decimal(x).scaleb(-1) for x in row] for row in tenths]
+        got = closure(make_lcs(labels, rows, "real")).dbm
+        want = closure(make_lcs(labels, tenths)).dbm
+        if [[x if x in (INF, NINF) else x.scaleb(1) for x in row] for row in got] != list(map(list, want)):
+            real_disagreements += 1
+    verdict(9, "closure oracle",
+            disagreements == 0 and not_idempotent == 0 and real_disagreements == 0,
+            "200 random constraint matrices; %d disagreements, %d idempotence failures; "
+            "200 one-decimal real matrices; %d disagreements with the int closure of 10x"
+            % (disagreements, not_idempotent, real_disagreements))

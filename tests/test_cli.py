@@ -125,20 +125,50 @@ def test_closure_real_kind_keeps_float_payloads(write, capsys):
     path = write("real.cons", text)
     assert main(["closure", path]) == 0
     out = capsys.readouterr().out
-    assert "d: v v 0.0" in out and "d: w w 0.0" in out and "d: v w 1.5" in out
+    # a clamped diagonal is the real unit, Decimal(0); other payloads keep their text
+    assert "d: v v 0\n" in out and "d: w w 0\n" in out and "d: v w 1.5\n" in out
 
 
 @pytest.mark.parametrize("bound", ["1e308", "-1e308"])
 def test_closure_real_kind_float_overflow_exits_2(write, capsys, bound):
+    # a closed bound past the float range is the exact sum, and prints as it parses
     text = ("kind: constraints\nscalar: real\nindex: v w x\n"
             "d: v v 0\nd: v w %s\nd: v x inf\n"
             "d: w v inf\nd: w w 0\nd: w x %s\n"
             "d: x v inf\nd: x w inf\nd: x x 0\n" % (bound, bound))
     path = write("huge.cons", text)
-    assert main(["closure", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "closure leaves the float range at (v, x)" in captured.err
+    assert main(["closure", path]) == 0
+    out = capsys.readouterr().out
+    assert "d: v x %sE+308\n" % bound.replace("1e308", "2") in out
+    assert main(["validate", write("huge.lcx", out)]) == 0
+
+
+# the rows of a real matrix whose float closure broke the triangle law at (a, c, b)
+ROUNDING_CONS = ("kind: constraints\nscalar: real\nindex: a b c d\n"
+                 + "".join("d: %s %s %s\n" % (v, w, x) for v, row in zip("abcd", (
+                     "0 6.6 -0.6 4.1", "2.7 0 7.7 7.9", "4.5 3.6 0 1.8", "4.9 -1.9 1.8 0"))
+                           for w, x in zip("abcd", row.split())))
+
+
+def test_closure_real_kind_output_validates(write, capsys):
+    assert main(["closure", write("rounding.cons", ROUNDING_CONS)]) == 0
+    out = capsys.readouterr().out
+    assert "d: a b -0.7\n" in out
+    assert main(["validate", write("closed.lcx", out)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert main(["closure", write("closed.cons", out)]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_real_literal_exponent_bound_exits_2(write, capsys):
+    lcx = write("zero.lcx", "kind: lconvex\nscalar: real\nindex: v\nd: v v 0\n")
+    for literal in ("1e-99999999", "0e-99999999"):
+        text = "kind: lconvex\nscalar: real\nindex: v\nd: v v %s\n" % literal
+        assert main(["validate", write("tiny.lcx", text)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4:" in err and "exponent outside [-400, 400]" in err
+        assert main(["member", lcx, "--point", "v=%s" % literal]) == 2
+        assert "%r has an exponent outside" % literal in capsys.readouterr().err
 
 
 # v -> w -> x sums past the float range, but v -> y -> x closes (v, x) to 0
@@ -152,7 +182,7 @@ LOWERED_CONS = ("kind: constraints\nscalar: real\nindex: v w x y\n"
 def test_closure_real_kind_partial_overflow_closes(write, capsys):
     path = write("lowered.cons", LOWERED_CONS)
     assert main(["closure", path]) == 0
-    assert "d: v x 0.0" in capsys.readouterr().out
+    assert "d: v x 0\n" in capsys.readouterr().out
 
 
 def test_validate_sums_beyond_the_float_range(write, capsys):

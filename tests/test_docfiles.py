@@ -1,8 +1,10 @@
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcdual.cli import main
-from lcdual.scalars import NEG_INF, POS_INF, fin
+from lcdual.scalars import NEG_INF, POS_INF, MAX_EXPONENT, fin
 from lcdual.docfiles import (
     Document, parse_document, emit_document, DocumentError,
     to_category, to_lcs, to_constraints, to_generators,
@@ -56,7 +58,7 @@ def test_parse_lconvex_and_generators():
     D = to_lcs(parse_document(LCX_TEXT))
     assert D.bound("v", "w") == fin(1)
     c = to_constraints(parse_document(LCX_TEXT.replace("lconvex", "constraints")))
-    assert c.matrix[0][1] == fin(1)
+    assert c.bound("v", "w") == fin(1) and c.matrix == c.dbm
     S = to_generators(parse_document(GEN_TEXT))
     assert len(S.points) == 3
     assert S.points[1][1] == POS_INF
@@ -84,8 +86,11 @@ def documents(draw):
     scalar = draw(st.sampled_from(["int", "real"]))
     labels = tuple(draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
                                  min_size=1, max_size=3, unique=True)))
+    # real payloads: any coefficient, exponents up to the literal bound and at it
+    exponent = st.one_of(st.integers(-MAX_EXPONENT, MAX_EXPONENT),
+                         st.sampled_from([-MAX_EXPONENT, MAX_EXPONENT]))
     finite = (st.integers() if scalar == "int"
-              else st.floats(allow_nan=False, allow_infinity=False))
+              else st.builds(lambda m, e: Decimal("%dE%d" % (m, e)), st.integers(), exponent))
     entry = st.one_of(st.sampled_from([POS_INF, NEG_INF]), finite.map(fin))
     row = st.tuples(*[entry] * len(labels))
     if kind == "points":
@@ -99,6 +104,7 @@ def test_emit_parse_roundtrip_fuzz(doc):
     text = emit_document(doc)
     again = parse_document(text)
     assert again == doc
+    # the same Decimals, exponents included, so the text comes back byte for byte
     assert emit_document(again) == text
     if doc.kind == "lconvex":
         assert from_lcs(to_lcs(doc)) == doc
@@ -139,8 +145,12 @@ def test_missing_headers_reported():
 def test_real_kind_values():
     text = "kind: lconvex\nscalar: real\nindex: v\nd: v v 0.0\n"
     D = to_lcs(parse_document(text))
-    assert D.bound("v", "v") == fin(0.0)
+    assert D.bound("v", "v") == Decimal("0.0")
     assert "0.0" in emit_document(from_lcs(D))
+    # str(Decimal) is lossless: trailing zeros echo, and exponents print as E+n
+    text = "kind: lconvex\nscalar: real\nindex: v w\nd: v v 0\nd: v w 2.50\nd: w v 1e308\nd: w w 0\n"
+    out = emit_document(from_lcs(to_lcs(parse_document(text))))
+    assert "d: v w 2.50\n" in out and "d: w v 1E+308\n" in out
 
 
 @pytest.mark.parametrize("kind,value", [

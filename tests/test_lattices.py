@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import isfinite
@@ -67,7 +68,7 @@ TABLES = {
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_operation_tables(name, kind):
     L = get_lattice(name, kind)
-    zero = 0.0 if kind == "real" else 0
+    zero = Decimal(0) if kind == "real" else 0
     grid = L.carrier_grid(2)
     if kind == "real" and name != "two":  # the real carrier also holds int payloads
         grid += [int(x) for x in grid if isfinite(x)]
@@ -76,7 +77,7 @@ def test_operation_tables(name, kind):
         for y in grid:
             for op, want in ((L.tensor, tensor(x, y, zero)), (L.hom, hom(x, y, zero))):
                 got = op(x, y)
-                # the payload type too: a real lattice's zero is 0.0 for any operands
+                # the payload type too: a real lattice's zero is Decimal(0) for any operands
                 assert got == want and type(got) is type(want), (op.__name__, x, y, got)
 
 
@@ -228,10 +229,12 @@ def test_carrier_membership():
 
 def test_sup_inf_take_exact_terms_past_the_float_range():
     kbar = get_lattice("kbar", "real")
-    huge = ext_add(1e308, 1e308)  # the exact sum, a Fraction
-    assert kbar.sup([huge, 1.0]) == 1.0 and kbar.inf([huge, POS_INF]) == POS_INF
-    assert kbar.inf([huge, 1.0]) == huge
-    for bad in (Fraction(1, 2), float("nan")):
+    huge = ext_add(Decimal("1e308"), Decimal("1e308"))  # the exact sum, in the carrier
+    assert huge == Decimal("2E+308") and kbar.contains(huge)
+    one = Decimal("1.0")
+    assert kbar.sup([huge, one]) == one and kbar.inf([huge, POS_INF]) == POS_INF
+    assert kbar.inf([huge, one]) == huge
+    for bad in (Fraction(1, 2), float("nan"), 0.5, Decimal("Infinity"), Decimal("NaN")):
         with pytest.raises(ValueError):
             kbar.sup([bad])
 
@@ -240,17 +243,18 @@ def test_real_kind_grid_is_float():
     kbar = get_lattice("kbar", "real")
     grid = kbar.carrier_grid(1)
     finite = [x for x in grid if isfinite(x)]
-    assert all(isinstance(x, float) for x in finite)
+    assert all(type(x) is Decimal for x in finite)
     assert law_violations(kbar, bound=2) == []
 
 
 @pytest.mark.parametrize("name", ["kbar", "kbar_plus", "kbar_plus_cart"])
 def test_real_kind_zeros_are_float(name):
     L = get_lattice(name, "real")
-    values = [L.unit, L.inf([]), L.hom(POS_INF, POS_INF), L.hom(fin(1.0), fin(1.0))]
-    assert all(isinstance(x, float) for x in values if isfinite(x))
-    C = make_category(L, ("v",), [[fin(1.0)]])
-    assert validate_category(C) == ["identity law fails at v: unit 0.0 is not below hom 1.0"]
+    one = Decimal("1.0")
+    values = [L.unit, L.inf([]), L.hom(POS_INF, POS_INF), L.hom(one, one)]
+    assert all(type(x) is Decimal for x in values if isfinite(x))
+    C = make_category(L, ("v",), [[one]])
+    assert validate_category(C) == ["identity law fails at v: unit 0 is not below hom 1.0"]
 
 
 def test_unknown_lattice_rejected():

@@ -19,7 +19,7 @@ from lcdual.lattices import get_lattice
 from lcdual.categories import VFunctor, make_category, enumerate_functors, _index_maps
 from lcdual.scalars import POS_INF, fin
 from lcdual.lconvex import (
-    RawConstraints, closure, member, grid_members, canonical_points, make_lcs,
+    closure, member, grid_members, canonical_points, make_lcs,
 )
 from lcdual.duality import enumerate_homs, cat_to_lcs
 
@@ -62,7 +62,7 @@ def random_lcs(rng, n, labels):
     rows = [[fin(0) if i == j else rng.choice([POS_INF, fin(rng.randint(-2, 2)),
                                                fin(pot[j] - pot[i] + rng.randint(0, 2))])
              for j in range(n)] for i in range(n)]
-    return closure(RawConstraints("int", labels[:n], rows))
+    return closure(make_lcs(labels[:n], rows))
 
 
 def random_category(rng, L, n, labels):

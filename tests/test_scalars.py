@@ -1,4 +1,4 @@
-import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from lcdual.scalars import (
     NEG_INF, POS_INF, TRUE, FALSE, fin,
     ext_add, ext_sub,
-    parse_scalar, format_scalar,
+    parse_scalar, format_scalar, MAX_EXPONENT,
 )
 from lcdual.lattices import get_lattice
 
@@ -74,7 +74,7 @@ def test_cart_ops():
     assert cart.hom(fin(5), fin(3)) == fin(0)
     assert cart.hom(fin(2), fin(7)) == fin(7)
     assert cart.hom(POS_INF, fin(9)) == fin(0)
-    assert isinstance(get_lattice("kbar_plus_cart", "real").hom(POS_INF, fin(2.5)), float)
+    assert isinstance(get_lattice("kbar_plus_cart", "real").hom(POS_INF, Decimal("2.5")), Decimal)
     assert cart.tensor(fin(2), fin(7)) == fin(7)
     assert cart.tensor(POS_INF, fin(7)) == POS_INF
 
@@ -101,15 +101,18 @@ def test_add_sub_cancel_on_finites(a, b):
 
 
 FINITE_REALS = st.one_of(
-    st.floats(min_value=-1e3, max_value=1e3),
-    st.sampled_from([1e308, -1e308, sys.float_info.max, -sys.float_info.max]))
+    st.decimals(min_value=-1000, max_value=1000, places=3),
+    st.sampled_from([Decimal(t) for t in ("1e308", "-1e308", "1.7976931348623157e308",
+                                          "1e400", "-1e400", "1e-400", "-1e-400")]))
 
 
 @given(FINITE_REALS, FINITE_REALS)
 def test_finite_sums_stay_finite(x, y):
-    # past the float range the result is exact, never a machine infinity or NaN
-    for r in (ext_add(x, y), ext_sub(y, x)):
-        assert r == r and r not in (POS_INF, NEG_INF)
+    # sums and differences are exact finite Decimals: never a machine
+    # infinity, a NaN, or a rounded value (1e400 + 1e-400 gives 1e-400 back)
+    s, d = ext_add(x, y), ext_sub(y, x)
+    assert fin(s) is s and fin(d) is d
+    assert ext_sub(s, y) == x and ext_add(d, x) == y
 
 
 @given(st.sampled_from(EXT_GRID), st.sampled_from(EXT_GRID), st.sampled_from(EXT_GRID))
@@ -123,7 +126,10 @@ def test_parse_format_roundtrip():
         assert parse_scalar(format_scalar(x)) == x
     assert parse_scalar("inf") == POS_INF
     assert parse_scalar("-inf") == NEG_INF
-    assert parse_scalar("2.5", "real") == fin(2.5)
+    assert parse_scalar("2.5", "real") == Decimal("2.5")
+    for text in ("2.50", "1E+308", "-0", "1E-400"):  # str(Decimal) keeps the exponent
+        assert format_scalar(parse_scalar(text, "real")) == text
+    assert format_scalar(parse_scalar("1e308", "real")) == "1E+308"
     with pytest.raises(ValueError):
         parse_scalar("in")
     with pytest.raises(ValueError):
@@ -131,7 +137,30 @@ def test_parse_format_roundtrip():
 
 
 def test_no_machine_infinities_in_payload():
-    with pytest.raises(ValueError):
-        fin(float("inf"))
-    with pytest.raises(ValueError):
-        fin(float("nan"))
+    for bad in (float("inf"), float("nan"), 0.5, Decimal("Infinity"), Decimal("NaN"), True):
+        with pytest.raises(ValueError):
+            fin(bad)
+
+
+@pytest.mark.parametrize("name", ["kbar", "kbar_plus", "kbar_plus_cart"])
+def test_real_carrier_refuses_floats_and_decimal_specials(name):
+    L = get_lattice(name, "real")
+    assert L.contains(Decimal("2.5")) and L.contains(2) and L.contains(POS_INF)
+    # Decimal("Infinity") == POS_INF, but it is no payload
+    for bad in (2.5, 0.0, Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN"),
+                Decimal("sNaN"), float("nan")):
+        assert not L.contains(bad)
+    assert not get_lattice(name).contains(Decimal("2"))
+
+
+def test_real_literal_exponents_are_bounded():
+    # 0e-99999999 + 1 would need a coefficient of 10**8 digits
+    for text in ("1e-99999999", "0e-99999999", "1e401", "1e-401", "1e999999999999999999999999"):
+        with pytest.raises(ValueError, match="exponent outside"):
+            parse_scalar(text, "real")
+    # the bound itself parses, 1e400 included
+    assert parse_scalar("1e%d" % MAX_EXPONENT, "real") == 10 ** MAX_EXPONENT
+    assert parse_scalar("-1e-%d" % MAX_EXPONENT, "real").as_tuple().exponent == -MAX_EXPONENT
+    assert parse_scalar("1000e398", "real").as_tuple().exponent == 398
+    # an integer literal has no exponent to bound
+    assert parse_scalar("1" + "0" * 500) == 10 ** 500
