@@ -52,8 +52,9 @@ class EnrichingLattice:
     def _checked(self, xs):
         """xs as a list, each member checked to lie in the carrier."""
         xs = list(xs)
+        contains = self.contains
         for x in xs:
-            if not self.contains(x):
+            if not contains(x):
                 raise ValueError("outside carrier: %s" % format_scalar(x))
         return xs
 
@@ -109,26 +110,36 @@ class _NumericLattice(EnrichingLattice):
 
     def __init__(self, scalar_kind="int"):
         super().__init__(scalar_kind)
+        self._real = scalar_kind == "real"
         # the only zero: truncated results and the empty inf are this value
-        self.unit = Decimal(0) if scalar_kind == "real" else 0
+        self.unit = Decimal(0) if self._real else 0
 
     def leq(self, x, y):
         return x >= y
 
+    # the law suite calls sup/inf thousands of times: min(xs) if xs else ...
+    # gives the same value as min(xs, default=...) without the keyword parse
     def sup(self, xs):
         # lattice sup = usual minimum; empty sup is the lattice bottom.
-        return min(self._checked(xs), default=POS_INF)
+        xs = self._checked(xs)
+        return min(xs) if xs else POS_INF
 
     def inf(self, xs):
-        return max(self._checked(xs), default=self._top)
+        xs = self._checked(xs)
+        return max(xs) if xs else self._top
 
-    def _fin_ok(self, v):
-        """An int (not a bool), or for the real kind also a finite Decimal."""
-        return type(v) is int or (self.scalar_kind == "real" and type(v) is Decimal
-                                  and v.is_finite())
+    def _checked(self, xs):
+        xs = list(xs)
+        contains, floor = self.contains, self._floor
+        for x in xs:
+            # an exact int at or above the floor is in the carrier; True is
+            # no int by type, so it still goes to contains, which refuses it
+            if not (type(x) is int and x >= floor) and not contains(x):
+                raise ValueError("outside carrier: %s" % format_scalar(x))
+        return xs
 
     def _grid(self, lo, bound):
-        mk = Decimal if self.scalar_kind == "real" else int
+        mk = Decimal if self._real else int
         return [mk(v) for v in range(lo, bound + 1)] + [POS_INF]
 
 
@@ -136,11 +147,14 @@ class KbarLattice(_NumericLattice):
     """K u {-inf, inf} under >=; tensor is extended +, hom is extended -."""
 
     name = "kbar"
-    _top = NEG_INF
+    _top = _floor = NEG_INF
 
     def contains(self, x):
-        # a type test: Decimal("Infinity") == POS_INF, but is no payload
-        return self._fin_ok(x) or type(x) is float and (x == POS_INF or x == NEG_INF)
+        # a type test: True == 1 and Decimal("Infinity") == POS_INF, but neither
+        # is a payload
+        t = type(x)
+        return (t is int or t is float and (x == POS_INF or x == NEG_INF)
+                or t is Decimal and self._real and x.is_finite())
 
     def tensor(self, x, y):
         return ext_add(x, y)
@@ -157,9 +171,12 @@ class KbarPlusLattice(_NumericLattice):
 
     name = "kbar_plus"
     _top = property(lambda self: self.unit)
+    _floor = 0
 
     def contains(self, x):
-        return self._fin_ok(x) and x >= 0 or type(x) is float and x == POS_INF
+        t = type(x)
+        return (t is int and x >= 0 or t is float and x == POS_INF
+                or t is Decimal and self._real and x.is_finite() and x >= 0)
 
     def tensor(self, x, y):
         self._require_nonneg(x, y)
@@ -220,9 +237,13 @@ def law_violations(L, bound=3, max_subset=3):
     hom from tensor as the sup of {x | tensor(x,y) <= z} whenever that sup
     lands inside the grid.
 
-    tensor and hom are tabulated over the grid once, and each subset's sup
-    and inf computed once; an operand off the grid, such as a tensor of two
-    grid values past the bound, goes to the lattice itself.
+    tensor and hom are tabulated over the grid once; an operand pair off the
+    grid, such as a tensor of two grid values past the bound, goes to the
+    lattice itself once and is then stored.  Each subset's sup and inf are
+    computed once.  For each y the subset loop reads one column per law,
+    a dict from s to tensor(s, y), hom(y, s) or hom(s, y), and hands the
+    subset's images to the lattice's own sup/inf, which check every term
+    against the carrier.
     """
     from itertools import combinations
 
@@ -238,7 +259,9 @@ def law_violations(L, bound=3, max_subset=3):
 
         def at(x, y):
             r = table.get((x, y))
-            return op(x, y) if r is None else r
+            if r is None:
+                r = table[x, y] = op(x, y)
+            return r
         return table, at
 
     T, tensor = tabulated(L.tensor)
@@ -276,19 +299,23 @@ def law_violations(L, bound=3, max_subset=3):
     subsets = [()]
     for k in range(1, max_subset + 1):
         subsets.extend(combinations(G, k))
-    extremes = [(S, L.sup(S), L.inf(S)) for S in subsets]
+    sup, inf = L.sup, L.inf
+    extremes = [(S, sup(S), inf(S)) for S in subsets]
     for y in G:
+        t_col = {s: T[s, y] for s in G}.__getitem__
+        h_row = {s: H[y, s] for s in G}.__getitem__
+        h_col = {s: H[s, y] for s in G}.__getitem__
         for S, sup_s, inf_s in extremes:
-            if tensor(sup_s, y) != L.sup([T[s, y] for s in S]):
+            if tensor(sup_s, y) != sup(map(t_col, S)):
                 note("tensor(-, %s) fails to preserve sups on a %d-subset" % ("%s", len(S)), y)
-            if hom(y, inf_s) != L.inf([H[y, s] for s in S]):
+            if hom(y, inf_s) != inf(map(h_row, S)):
                 note("hom(%s, -) fails to preserve infs on a %d-subset" % ("%s", len(S)), y)
-            if hom(sup_s, y) != L.inf([H[s, y] for s in S]):
+            if hom(sup_s, y) != inf(map(h_col, S)):
                 note("hom(-, %s) fails to turn sups into infs on a %d-subset" % ("%s", len(S)), y)
 
     for y in G:
         for z in G:
-            recovered = L.sup([x for x in G if leq(T[x, y], z)])
+            recovered = sup([x for x in G if leq(T[x, y], z)])
             # only meaningful when the true sup is attained inside the grid
             if recovered in G and H[y, z] in G and recovered != H[y, z]:
                 note("hom not recovered from tensor at (%s, %s)", y, z)

@@ -173,15 +173,45 @@ def reference_law_violations(L, bound=3, max_subset=3):
     return bad
 
 
-@pytest.mark.parametrize("bound", [0, 1, 2, 3])
-@pytest.mark.parametrize("kind", ["int", "real"])
-@pytest.mark.parametrize("lattice", [
+SUITE_LATTICES = [
     TwoLattice, KbarLattice, KbarPlusLattice, KbarPlusCartLattice,
     _KbarInfMinusInf, _CartPlusAtOne, _TwoHomAlwaysTrue,
-], ids=lambda cls: cls.__name__)
+]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("lattice", SUITE_LATTICES, ids=lambda cls: cls.__name__)
 def test_law_suite_matches_reference(lattice, kind, bound):
     L = lattice(kind)
     assert law_violations(L, bound) == reference_law_violations(L, bound)
+
+
+@pytest.mark.parametrize("max_subset", [0, 1, 2, 4])
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("lattice", SUITE_LATTICES, ids=lambda cls: cls.__name__)
+def test_law_suite_matches_reference_at_every_subset_size(lattice, kind, max_subset):
+    L = lattice(kind)
+    for bound in (0, 1, 2):
+        assert (law_violations(L, bound, max_subset)
+                == reference_law_violations(L, bound, max_subset)), bound
+
+
+class _KbarTensorLeavesCarrier(KbarLattice):
+    def tensor(self, x, y):
+        return 0.5
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+def test_law_suite_checks_every_term_against_the_carrier(kind):
+    # only the carrier check in sup sees the stray 0.5: every law compares
+    # values, and 0.5 compares with them all
+    L = _KbarTensorLeavesCarrier(kind)
+    with pytest.raises(ValueError) as want:
+        reference_law_violations(L, 2)
+    with pytest.raises(ValueError) as got:
+        law_violations(L, 2)
+    assert str(got.value) == str(want.value) == "outside carrier: 0.5"
 
 
 def test_adjointness_examples():
@@ -218,6 +248,47 @@ def test_empty_sup_inf_are_extremes():
     assert two.inf([]) == TRUE
 
 
+NUMERIC_NAMES = ["kbar", "kbar_plus", "kbar_plus_cart"]
+
+
+def _outside(name, kind):
+    """Terms outside the carrier of lattice `name` of the given kind."""
+    terms = [True, 0.5, float("nan"), Decimal("Infinity")]
+    if kind == "int":
+        terms.append(Decimal(2))
+    if name != "kbar":
+        terms += [-1, NEG_INF] + ([Decimal(-1)] if kind == "real" else [])
+    return terms
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("name", NUMERIC_NAMES)
+def test_sup_inf_refuse_terms_outside_the_carrier(name, kind):
+    L = get_lattice(name, kind)
+    ok = L.carrier_grid(1)
+    for bad in _outside(name, kind):
+        assert not L.contains(bad), bad
+        for op in (L.sup, L.inf):
+            # alone, after carrier terms, and from an iterator as the law suite passes them
+            for xs in ([bad], ok + [bad], iter([bad] + ok)):
+                with pytest.raises(ValueError) as err:
+                    op(xs)
+                assert str(err.value) == "outside carrier: %s" % format_scalar(bad)
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("name", NUMERIC_NAMES)
+def test_sup_inf_keep_values_and_payload_types(name, kind):
+    L = get_lattice(name, kind)
+    top = NEG_INF if name == "kbar" else L.unit
+    for got, want in ((L.sup([]), POS_INF), (L.inf([]), top)):
+        assert got == want and type(got) is type(want)
+    if kind == "real":  # a real carrier holds int and Decimal payloads; the first extreme wins
+        for xs in ([Decimal(1), 1, POS_INF], [1, Decimal(1), POS_INF], [POS_INF, 2, Decimal(2)]):
+            for got, want in ((L.sup(xs), min(xs)), (L.inf(xs), max(xs))):
+                assert got == want and type(got) is type(want), xs
+
+
 def test_carrier_membership():
     kplus = get_lattice("kbar_plus")
     assert not kplus.contains(NEG_INF)
@@ -239,7 +310,7 @@ def test_sup_inf_take_exact_terms_past_the_float_range():
             kbar.sup([bad])
 
 
-def test_real_kind_grid_is_float():
+def test_real_kind_grid_is_decimal():
     kbar = get_lattice("kbar", "real")
     grid = kbar.carrier_grid(1)
     finite = [x for x in grid if isfinite(x)]
@@ -247,8 +318,8 @@ def test_real_kind_grid_is_float():
     assert law_violations(kbar, bound=2) == []
 
 
-@pytest.mark.parametrize("name", ["kbar", "kbar_plus", "kbar_plus_cart"])
-def test_real_kind_zeros_are_float(name):
+@pytest.mark.parametrize("name", NUMERIC_NAMES)
+def test_real_kind_zeros_are_decimal(name):
     L = get_lattice(name, "real")
     one = Decimal("1.0")
     values = [L.unit, L.inf([]), L.hom(POS_INF, POS_INF), L.hom(one, one)]
