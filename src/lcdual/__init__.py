@@ -8,7 +8,7 @@ from .scalars import (
 )
 from .lattices import EnrichingLattice, get_lattice, check_adjointness, law_violations
 from .categories import (
-    VCategory, VFunctor, Presheaf,
+    VCategory, VFunctor, Presheaf, InvalidCategory, require_category,
     make_category, make_functor, make_presheaf, identity_functor,
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
     compose_functors, functor_hom, canonical_leq, enumerate_functors,

@@ -66,6 +66,22 @@ def validate_category(C):
     return bad
 
 
+class InvalidCategory(ValueError):
+    """A matrix that breaks the category laws; violations lists each broken law."""
+
+    def __init__(self, violations):
+        self.violations = violations
+        super().__init__("not a valid category: " + "; ".join(violations))
+
+
+def require_category(*cats):
+    """Raise InvalidCategory with the violations of each distinct argument, in argument order."""
+    distinct = [C for k, C in enumerate(cats) if C not in cats[:k]]
+    bad = [msg for C in distinct for msg in validate_category(C)]
+    if bad:
+        raise InvalidCategory(bad)
+
+
 def opposite(C):
     """Transpose the hom matrix."""
     n = len(C.objects)

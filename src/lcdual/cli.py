@@ -2,86 +2,72 @@
 
 Exit codes: 0 success / predicate true, 1 predicate false or invalid
 input object (with a report), 2 malformed input, 3 internal error.
+A command returns 0 or 1 for its predicate; `main` turns what it raises
+into the rest: `InvalidCategory` prints the `validate` report and exits 1,
+`DocumentError` and `ValueError` exit 2, anything else exits 3.
 """
 
 import argparse
 import sys
 
-from .scalars import parse_scalar, format_scalar
+from .scalars import parse_scalar
 from .lattices import get_lattice, law_violations
 from .categories import (
-    VCategory, make_functor, is_functor, validate_category, canonical_leq, verify_yoneda,
+    InvalidCategory, make_functor, is_functor, require_category, canonical_leq, verify_yoneda,
     enumerate_functors,
 )
-from .lconvex import closure, from_generators, member
+from .lconvex import LConvexSet, closure, from_generators, member
 from .duality import cat_to_lcs, lcs_to_cat, enumerate_homs
 from .classify import classify_two_point, render_region
 from . import docfiles
 from .docfiles import DocumentError
 
 
-def _load(path):
+def _load(path, command, *kinds):
+    """The file at path as the domain value of its kind, one of the kinds command accepts."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DocumentError("cannot read %s: %s" % (path, exc))
-    return docfiles.parse_document(text)
+    doc = docfiles.parse_document(text)
+    if doc.kind not in kinds:
+        article = "an" if kinds[0] == "lconvex" else "a"
+        raise DocumentError("%s expects %s %s file" % (command, article, " or ".join(kinds)))
+    return docfiles.convert(doc)
 
 
-def _parse_map_spec(spec):
-    """Parse `from:to,from:to` into a dict."""
+def _parse_spec(spec, sep, entry, form):
+    """Parse `key<sep>value,key<sep>value` into a dict of stripped strings;
+    entry and form name a chunk in the error messages."""
     out = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ":" not in chunk:
-            raise DocumentError("bad map entry %r (expected from:to)" % chunk)
-        src, _, dst = chunk.partition(":")
-        src, dst = src.strip(), dst.strip()
-        if src in out:
-            raise DocumentError("duplicate map entry for %r" % src)
-        out[src] = dst
+        if sep not in chunk:
+            raise DocumentError("bad %s %r (expected %s)" % (entry, chunk, form))
+        key, _, value = chunk.partition(sep)
+        key = key.strip()
+        if key in out:
+            raise DocumentError("duplicate %s for %r" % (entry, key))
+        out[key] = value.strip()
     return out
 
 
 def _parse_point_spec(spec, labels, scalar_kind):
-    out = {}
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise DocumentError("bad coordinate %r (expected label=value)" % chunk)
-        lab, _, val = chunk.partition("=")
-        lab = lab.strip()
+    coords = _parse_spec(spec, "=", "coordinate", "label=value")
+    for lab, text in coords.items():
         if lab not in labels:
             raise DocumentError("unknown label %r in point" % lab)
-        if lab in out:
-            raise DocumentError("duplicate coordinate for %r" % lab)
         try:
-            out[lab] = parse_scalar(val, scalar_kind)
+            coords[lab] = parse_scalar(text, scalar_kind)
         except ValueError as exc:
             raise DocumentError(str(exc))
-    missing = [lab for lab in labels if lab not in out]
+    missing = [lab for lab in labels if lab not in coords]
     if missing:
         raise DocumentError("point is missing coordinates: %s" % ", ".join(missing))
-    return tuple(out[lab] for lab in labels)
-
-
-def _load_matrix(path, command):
-    """A kcategory or lconvex file as the category over kbar that either one is."""
-    doc = _load(path)
-    if doc.kind not in ("kcategory", "lconvex"):
-        raise DocumentError("%s expects a kcategory or lconvex file" % command)
-    return VCategory(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
-
-
-def _report(bad):
-    for msg in bad:
-        print(msg)
-    return 1
+    return tuple(coords[lab] for lab in labels)
 
 
 def _bound(text):
@@ -96,28 +82,23 @@ def _bound(text):
 
 
 def cmd_validate(args):
-    bad = validate_category(_load_matrix(args.file, "validate"))
-    if bad:
-        return _report(bad)
+    require_category(_load(args.file, "validate", "kcategory", "lconvex"))
     print("valid")
     return 0
 
 
 def cmd_dual(args):
-    doc = _load(args.file)
-    if doc.kind == "kcategory":
-        out = docfiles.from_lcs(cat_to_lcs(docfiles.to_category(doc)))
-    elif doc.kind == "lconvex":
-        out = docfiles.from_category(lcs_to_cat(docfiles.to_lcs(doc)))
+    X = _load(args.file, "dual", "kcategory", "lconvex")
+    if isinstance(X, LConvexSet):
+        out = docfiles.from_category(lcs_to_cat(X))
     else:
-        raise DocumentError("dual expects a kcategory or lconvex file")
+        out = docfiles.from_lcs(cat_to_lcs(X))
     sys.stdout.write(docfiles.emit_document(out))
     return 0
 
 
 def cmd_member(args):
-    doc = _load(args.file)
-    D = docfiles.to_lcs(doc)
+    D = _load(args.file, "member", "lconvex")
     p = _parse_point_spec(args.point, D.index, D.scalar_kind)
     ok = member(D, p)
     print("true" if ok else "false")
@@ -125,15 +106,13 @@ def cmd_member(args):
 
 
 def cmd_closure(args):
-    doc = _load(args.file)
-    D = closure(docfiles.to_constraints(doc))
+    D = closure(_load(args.file, "closure", "constraints", "lconvex"))
     sys.stdout.write(docfiles.emit_document(docfiles.from_lcs(D)))
     return 0
 
 
 def cmd_hull(args):
-    doc = _load(args.file)
-    D = from_generators(docfiles.to_generators(doc))
+    D = from_generators(_load(args.file, "hull", "generators", "points"))
     sys.stdout.write(docfiles.emit_document(docfiles.from_lcs(D)))
     return 0
 
@@ -146,45 +125,30 @@ def _print_maps(maps):
     return 0
 
 
-def _invalid(*cats):
-    """The law violations of each distinct input, in argument order."""
-    distinct = [C for k, C in enumerate(cats) if C not in cats[:k]]
-    return [msg for C in distinct for msg in validate_category(C)]
-
-
 def cmd_functors(args):
-    A = docfiles.to_category(_load(args.domain))
-    B = docfiles.to_category(_load(args.codomain))
-    bad = _invalid(A, B)
-    if bad:
-        return _report(bad)
+    A = _load(args.domain, "functors", "kcategory")
+    B = _load(args.codomain, "functors", "kcategory")
+    require_category(A, B)
     return _print_maps([F.object_map for F in enumerate_functors(A, B)])
 
 
 def cmd_homs(args):
-    D = docfiles.to_lcs(_load(args.domain))
-    E = docfiles.to_lcs(_load(args.codomain))
-    bad = _invalid(D, E)
-    if bad:
-        return _report(bad)
+    D = _load(args.domain, "homs", "lconvex")
+    E = _load(args.codomain, "homs", "lconvex")
+    require_category(D, E)
     return _print_maps([phi.index_map for phi in enumerate_homs(D, E)])
 
 
 def cmd_leq(args):
-    dom_doc = _load(args.domain)
-    cod_doc = _load(args.codomain)
+    dom = _load(args.domain, "leq", "kcategory", "lconvex")
+    cod = _load(args.codomain, "leq", "kcategory", "lconvex")
     if len(args.map) != 2:
         raise DocumentError("leq needs exactly two --map specs")
-    m1, m2 = (_parse_map_spec(s) for s in args.map)
-    if dom_doc.kind == "kcategory" and cod_doc.kind == "kcategory":
-        dom, cod = docfiles.to_category(dom_doc), docfiles.to_category(cod_doc)
-        A, B, what = dom, cod, "functor"
-    elif dom_doc.kind == "lconvex" and cod_doc.kind == "lconvex":
-        dom, cod = docfiles.to_lcs(dom_doc), docfiles.to_lcs(cod_doc)
-        # a homomorphism D -> E is the functor [E] -> [D] with the same index map
-        A, B, what = cod, dom, "homomorphism"
-    else:
+    m1, m2 = (_parse_spec(s, ":", "map entry", "from:to") for s in args.map)
+    if type(dom) is not type(cod):
         raise DocumentError("leq expects two kcategory files or two lconvex files")
+    # a homomorphism D -> E is the functor [E] -> [D] with the same index map
+    A, B, what = (cod, dom, "homomorphism") if isinstance(dom, LConvexSet) else (dom, cod, "functor")
     try:
         F = make_functor(A, B, m1)
         G = make_functor(A, B, m2)
@@ -192,9 +156,7 @@ def cmd_leq(args):
         raise DocumentError("bad map spec: %s" % exc)
     if not is_functor(F) or not is_functor(G):
         raise DocumentError("a map spec is not a %s" % what)
-    bad = _invalid(dom, cod)
-    if bad:
-        return _report(bad)
+    require_category(dom, cod)
     forward, backward = canonical_leq(F, G), canonical_leq(G, F)
     print("forward: %s" % ("true" if forward else "false"))
     print("backward: %s" % ("true" if backward else "false"))
@@ -202,31 +164,26 @@ def cmd_leq(args):
 
 
 def cmd_classify2(args):
-    C = _load_matrix(args.file, "classify2")
+    C = _load(args.file, "classify2", "kcategory", "lconvex")
     if len(C.objects) != 2:
         raise DocumentError("classify2 expects exactly two labels")
-    bad = validate_category(C)
-    if bad:
-        return _report(bad)
-    print(classify_two_point(C.hom, C.lattice.scalar_kind).describe())
+    shape = classify_two_point(C.hom, C.lattice.scalar_kind)
+    if shape is None:  # an invalid matrix: the report, with the file's labels
+        require_category(C)
+    print(shape.describe())
     return 0
 
 
 def cmd_yoneda_check(args):
-    doc = _load(args.file)
-    C = docfiles.to_category(doc)
-    bad = validate_category(C)
-    if bad:
-        return _report(bad)
+    C = _load(args.file, "yoneda-check", "kcategory")
+    require_category(C)
     ok = verify_yoneda(C)
     print("true" if ok else "false")
     return 0 if ok else 1
 
 
 def cmd_render(args):
-    doc = _load(args.file)
-    D = docfiles.to_lcs(doc)
-    print(render_region(D, args.bound))
+    print(render_region(_load(args.file, "render", "lconvex"), args.bound))
     return 0
 
 
@@ -312,6 +269,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidCategory as exc:
+        print("\n".join(exc.violations))
+        return 1
     except (DocumentError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

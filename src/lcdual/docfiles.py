@@ -196,6 +196,15 @@ def to_generators(doc):
     return GeneratorSet(doc.labels, doc.points, doc.scalar)
 
 
+_CONVERTERS = {"kcategory": to_category, "lconvex": to_lcs, "constraints": to_constraints,
+               "points": to_generators, "generators": to_generators}
+
+
+def convert(doc):
+    """The domain value of a document, by the converter of its kind."""
+    return _CONVERTERS[doc.kind](doc)
+
+
 def from_category(C):
     kind = C.lattice.scalar_kind
     return Document("kcategory", kind, C.objects, matrix=C.hom)

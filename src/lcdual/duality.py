@@ -15,7 +15,7 @@ along the same correspondence.
 from dataclasses import dataclass
 
 from .categories import (
-    VCategory, VFunctor, make_functor, validate_category, is_functor, canonical_leq,
+    VCategory, VFunctor, make_functor, require_category, is_functor, canonical_leq,
     enumerate_functors,
 )
 from .lconvex import LConvexSet
@@ -55,9 +55,7 @@ def pullback(phi, p):
 
 
 def _require_valid_category(A):
-    bad = validate_category(A)
-    if bad:
-        raise ValueError("not a valid category: " + "; ".join(bad))
+    require_category(A)
     if A.lattice.name != "kbar":
         raise ValueError("duality needs a category over kbar")
 

@@ -12,6 +12,7 @@ from lcdual.categories import (
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
     compose_functors, functor_hom, canonical_leq, enumerate_functors,
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
+    InvalidCategory, require_category,
 )
 
 from conftest import kcat, INF, NINF, random_valid_kcat
@@ -27,6 +28,19 @@ def test_validate_examples():
 def test_validate_identity_law():
     bad = validate_category(kcat([[1, INF], [INF, 0]]))
     assert any("identity" in msg for msg in bad)
+
+
+def test_require_category_reports_each_distinct_input_in_order():
+    good = kcat([[0, 3], [4, 0]])
+    identity, composition = kcat([[1, INF], [INF, 0]]), kcat([[0, 1], [-2, 0]])
+    require_category()
+    require_category(good, good)
+    with pytest.raises(InvalidCategory) as exc:
+        require_category(composition, good, identity, kcat([[0, 1], [-2, 0]]))
+    want = validate_category(composition) + validate_category(identity)
+    assert exc.value.violations == want
+    assert str(exc.value) == "not a valid category: " + "; ".join(want)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_opposite():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -78,11 +79,55 @@ def test_classification_stable_under_duality_roundtrip():
         assert classify_two_point(round_hom).family == shape.family
 
 
+def plain_add(x, y):
+    """Extended x + y on plain numbers, from the tables: inf absorbs, then -inf."""
+    if INF in (x, y):
+        return INF
+    if NINF in (x, y):
+        return NINF
+    return x + y
+
+
+def plain_law_ok(rows):
+    """The category laws over kbar on plain numbers, independent of the library:
+    every diagonal entry is at most 0 and d(a, c) <= d(a, b) + d(b, c)."""
+    n = len(rows)
+    return (all(rows[a][a] <= 0 for a in range(n))
+            and all(rows[a][c] <= plain_add(rows[a][b], rows[b][c])
+                    for a in range(n) for b in range(n) for c in range(n)))
+
+
+GRID2 = [NINF, -2, -1, 0, 1, 2, INF]
+
+
+def grid_disagreements():
+    """The 2x2 matrices over GRID2 that classify_two_point classifies exactly
+    when plain_law_ok rejects them, and the number plain_law_ok accepts."""
+    bad, valid = [], 0
+    for cells in product(GRID2, repeat=4):
+        rows = (cells[:2], cells[2:])
+        ok = plain_law_ok(rows)
+        valid += ok
+        if ok != (classify_two_point(rows) is not None):
+            bad.append(rows)
+    return bad, valid
+
+
+def test_plain_law_check_examples():
+    assert plain_law_ok([[0, 1], [2, 0]]) and plain_law_ok([[NINF, NINF], [INF, 0]])
+    assert plain_law_ok([[0, INF], [NINF, 0]])  # inf + -inf is inf
+    assert not plain_law_ok([[0, 1], [-2, 0]])  # 1 + (-2) < 0 = d(a, a)
+    assert not plain_law_ok([[1, INF], [INF, 0]])  # diagonal above 0
+    assert not plain_law_ok([[0, NINF], [NINF, 0]])  # -inf + -inf < 0 = d(a, a)
+
+
 def test_exhaustive_partition():
     report = exhaustive_partition(2)
-    assert report["anomalies"] == []
-    assert report["total"] == 7 ** 4
-    assert sum(report["counts"].values()) + report["invalid"] == report["total"]
+    bad, valid = grid_disagreements()
+    assert bad == []
+    assert report["total"] == len(GRID2) ** 4
+    assert report["invalid"] == report["total"] - valid
+    assert sum(report["counts"].values()) == valid
     assert all(report["counts"][f] > 0 for f in report["counts"])
     # determinism
     assert exhaustive_partition(2) == report

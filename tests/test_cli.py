@@ -90,6 +90,17 @@ def test_dual_twice_is_pi_relabel(write, capsys):
     assert "hom: pi_v pi_w 1" in second
 
 
+@pytest.mark.parametrize("kind", sorted(MATRIX_CASES))
+def test_dual_reports_an_invalid_input(kind, write, capsys):
+    path = write("bad.txt", MATRIX_CASES[kind][1])
+    assert main(["validate", path]) == 1
+    report = capsys.readouterr().out
+    assert "composition law" in report
+    assert main(["dual", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == report and err == ""
+
+
 def test_member(write, capsys):
     path = write("band.lcx", BAND_LCX)
     assert main(["member", path, "--point", "v=0,w=1"]) == 0
@@ -108,6 +119,29 @@ def test_member_bad_point(write, capsys):
     assert "bad integer scalar literal" in capsys.readouterr().err
     assert main(["member", path, "--point", "v=0,w=5,v=4"]) == 2
     assert "duplicate coordinate for 'v'" in capsys.readouterr().err
+
+
+# (command, the other arguments, a spec with one error, the whole stderr)
+SPEC_ERRORS = [
+    ("member", ["--point"], "v=0,w 1", "error: bad coordinate 'w 1' (expected label=value)\n"),
+    ("member", ["--point"], " v = 0 , w=1, v=2", "error: duplicate coordinate for 'v'\n"),
+    ("member", ["--point"], "v=0,zz=1", "error: unknown label 'zz' in point\n"),
+    ("member", ["--point"], "w=1", "error: point is missing coordinates: v\n"),
+    ("leq", ["--map", "v:v,w:w", "--map"], "v:v,w", "error: bad map entry 'w' (expected from:to)\n"),
+    ("leq", ["--map", "v:v,w:w", "--map"], "v:v, w : w ,w:v",
+     "error: duplicate map entry for 'w'\n"),
+]
+
+
+@pytest.mark.parametrize("command,argv,spec,stderr", SPEC_ERRORS,
+                         ids=["point-separator", "point-duplicate", "point-unknown",
+                              "point-missing", "map-separator", "map-duplicate"])
+def test_spec_errors(command, argv, spec, stderr, write, capsys):
+    path = write("band.lcx", BAND_LCX)
+    paths = [path] if command == "member" else [path, path]
+    assert main([command, *paths, *argv, spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == stderr
 
 
 def test_closure(write, capsys):
@@ -214,6 +248,62 @@ def test_hull(write, capsys):
     real = write("real.gen", "kind: generators\nscalar: real\nindex: v w\npoint: inf -inf\n")
     assert main(["hull", real]) == 0
     assert "scalar: real" in capsys.readouterr().out
+
+
+# a valid two-label document of each kind
+KIND_TEXTS = {
+    "kcategory": BAND_KCAT,
+    "lconvex": BAND_LCX,
+    "constraints": BAND_LCX.replace("lconvex", "constraints"),
+    "points": GENS_TEXT.replace("generators", "points"),
+    "generators": GENS_TEXT,
+}
+
+# command: (the other arguments, the kinds it accepts as its error names them)
+ACCEPTS = {
+    "validate": ([], "a kcategory or lconvex"),
+    "dual": ([], "a kcategory or lconvex"),
+    "member": (["--point", "v=0,w=0"], "an lconvex"),
+    "closure": ([], "a constraints or lconvex"),
+    "hull": ([], "a generators or points"),
+    "functors": (None, "a kcategory"),
+    "homs": (None, "an lconvex"),
+    "leq": (["--map", "v:v,w:w", "--map", "v:v,w:w"], "a kcategory or lconvex"),
+    "classify2": ([], "a kcategory or lconvex"),
+    "yoneda-check": ([], "a kcategory"),
+    "render": ([], "an lconvex"),
+}
+
+
+def accepted_kinds(command):
+    return ACCEPTS[command][1].split(" ", 1)[1].split(" or ")
+
+
+REFUSED = [(command, kind) for command in ACCEPTS for kind in KIND_TEXTS
+           if kind not in accepted_kinds(command)]
+
+
+@pytest.mark.parametrize("command,kind", REFUSED, ids=["%s-%s" % pair for pair in REFUSED])
+def test_wrong_kind_exits_2_naming_the_accepted_kinds(command, kind, write, capsys):
+    extra, accepted = ACCEPTS[command]
+    wrong = write("wrong.txt", KIND_TEXTS[kind])
+    right = write("right.txt", KIND_TEXTS[accepted_kinds(command)[0]])
+    if extra is None or command == "leq":  # two files: the wrong one in either place
+        argvs = [[command, wrong, right, *(extra or [])], [command, right, wrong, *(extra or [])]]
+    else:
+        argvs = [[command, wrong, *extra]]
+    for argv in argvs:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: %s expects %s file\n" % (command, accepted)
+
+
+def test_leq_refuses_mixed_kinds(write, capsys):
+    kcat, lcx = write("band.kcat", BAND_KCAT), write("band.lcx", BAND_LCX)
+    for argv in (["leq", kcat, lcx], ["leq", lcx, kcat]):
+        assert main(argv + ["--map", "v:v,w:w", "--map", "v:v,w:w"]) == 2
+        assert capsys.readouterr().err == \
+            "error: leq expects two kcategory files or two lconvex files\n"
 
 
 def test_functors_and_homs(write, capsys):
@@ -358,19 +448,26 @@ def test_laws(capsys):
     assert main(["laws", "nope"]) == 2
 
 
-def test_laws_as_a_process():
+def run_cli(*argv):
+    """`python -m lcdual.cli` in a fresh process, importing this checkout's src/."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "lcdual.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "lcdual.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
 
-    done = run("laws", "kbar_plus_cart")
+def test_laws_as_a_process():
+    done = run_cli("laws", "kbar_plus_cart")
     assert done.returncode == 0
     assert done.stdout.splitlines()[-1] == "violations: 0"
-    done = run("laws", "nope")
+    done = run_cli("laws", "nope")
     assert done.returncode == 2
     assert "unknown lattice" in done.stderr
+
+
+def test_dual_on_an_invalid_input_as_a_process(write):
+    done = run_cli("dual", write("inv.kcat", INVALID_KCAT))
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == identity_fails("a") and done.stderr == ""
 
 
 def test_missing_file(capsys):
@@ -390,6 +487,6 @@ def test_bound_must_be_nonnegative(write, capsys):
 def test_internal_error_exits_3(write, capsys, monkeypatch):
     def broken(C):
         raise RuntimeError("broken check")
-    monkeypatch.setattr(cli, "validate_category", broken)
+    monkeypatch.setattr(cli, "require_category", broken)
     assert main(["validate", write("band.kcat", BAND_KCAT)]) == 3
     assert "internal error: broken check" in capsys.readouterr().err

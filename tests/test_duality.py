@@ -11,7 +11,7 @@ import pytest
 from lcdual.scalars import NEG_INF, POS_INF, fin
 from lcdual.categories import (
     make_functor, identity_functor, enumerate_functors, canonical_leq,
-    is_presheaf, make_presheaf, opposite,
+    is_presheaf, make_presheaf, opposite, validate_category, InvalidCategory,
 )
 from lcdual.lconvex import member, grid_members, canonical_points
 from lcdual.duality import (
@@ -38,6 +38,15 @@ def test_cat_to_lcs_examples():
 def test_cat_to_lcs_rejects_invalid():
     with pytest.raises(ValueError):
         cat_to_lcs(kcat([[0, 1], [-2, 0]]))
+
+
+def test_duality_raises_the_violations_with_the_category_message():
+    A = kcat([[1, 1], [-2, 0]])
+    for convert, X in ((cat_to_lcs, A), (lcs_to_cat, lcs([[1, 1], [-2, 0]]))):
+        with pytest.raises(InvalidCategory) as exc:
+            convert(X)
+        assert exc.value.violations == validate_category(X)
+        assert str(exc.value) == "not a valid category: " + "; ".join(validate_category(X))
 
 
 def test_lcs_to_cat_labels_and_matrix():
