@@ -266,6 +266,15 @@ def enumerate_functors(A, B):
     return [VFunctor(A, B, c) for c in _index_maps(A.hom, B.hom, A.lattice.leq)]
 
 
+def residuals(L, rows):
+    """R[i][j] = inf over c of hom_L(rows[i][c], rows[j][c]), the presheaf
+    distance between rows i and j.  By the enriched Yoneda lemma a square
+    matrix M is the hom of a category iff residuals(L, M) is its transpose.
+    """
+    hom, inf = L.hom, L.inf
+    return tuple(tuple(inf(map(hom, r, s)) for s in rows) for r in rows)
+
+
 def self_enrichment(L, carrier):
     """The lattice as a category over itself: hom is the internal hom."""
     carrier = list(carrier)
@@ -305,8 +314,7 @@ def presheaf_dist(p1, p2):
     """Hom-value between presheaves: inf over a of hom_L(p1(a), p2(a))."""
     if p1.base != p2.base:
         raise ValueError("presheaves live over different bases")
-    L = p1.base.lattice
-    return L.inf([L.hom(x, y) for x, y in zip(p1.values, p2.values)])
+    return residuals(p1.base.lattice, (p1.values, p2.values))[0][1]
 
 
 def yoneda(C, b):
@@ -321,14 +329,8 @@ def co_yoneda(C, a):
 
 
 def verify_yoneda(C):
-    """Both embeddings are isometries: hom values equal presheaf distances.
-
-    For X in (C, opposite(C)) and every pair b, b' this checks
-    presheaf_dist(yoneda(X, b), yoneda(X, b')) == hom_X(b, b'); over the
-    opposite that is hom(a,a') = inf_b hom_L(hom(a',b), hom(a,b)).
-    """
-    for X in (C, opposite(C)):
-        ys = [yoneda(X, b) for b in X.objects]
-        if any(presheaf_dist(p, q) != h for p, row in zip(ys, X.hom) for q, h in zip(ys, row)):
-            return False
-    return True
+    """Both embeddings are isometries: the distances between the columns
+    (C's representables) and between the rows (its opposite's) are the hom
+    values, residuals(L, C^T) == C.hom and residuals(L, C.hom) == C^T."""
+    L, transpose = C.lattice, tuple(zip(*C.hom))
+    return residuals(L, transpose) == C.hom and residuals(L, C.hom) == transpose

@@ -57,17 +57,20 @@ def _flat(m):
 
 
 def classify_two_point(m, scalar_kind="int"):
-    """Classify a 2x2 matrix; returns a TwoPointShape, or None if invalid.
-
-    The swap symmetry is normalized toward the lexicographically smaller
-    matrix; the shape records whether the swap was applied.
-    """
+    """Classify a 2x2 matrix; returns a TwoPointShape, or None if invalid."""
     m = tuple(tuple(row) for row in m)
     if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ValueError("expected a 2x2 matrix")
     cat = VCategory(get_lattice("kbar", scalar_kind), ("v", "w"), m)
-    if validate_category(cat):
-        return None
+    return None if validate_category(cat) else two_point_shape(m)
+
+
+def two_point_shape(m):
+    """The TwoPointShape of a 2x2 kbar matrix whose laws hold (not checked here).
+
+    The swap symmetry is normalized toward the lexicographically smaller
+    matrix; the shape records whether the swap was applied.
+    """
     swapped_m = _swap(m)
     if _flat(swapped_m) < _flat(m):
         canonical, swapped = swapped_m, True

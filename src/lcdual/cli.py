@@ -18,7 +18,7 @@ from .categories import (
 )
 from .lconvex import LConvexSet, closure, from_generators, member
 from .duality import cat_to_lcs, lcs_to_cat, enumerate_homs
-from .classify import classify_two_point, render_region
+from .classify import render_region, two_point_shape
 from . import docfiles
 from .docfiles import DocumentError
 
@@ -167,10 +167,8 @@ def cmd_classify2(args):
     C = _load(args.file, "classify2", "kcategory", "lconvex")
     if len(C.objects) != 2:
         raise DocumentError("classify2 expects exactly two labels")
-    shape = classify_two_point(C.hom, C.lattice.scalar_kind)
-    if shape is None:  # an invalid matrix: the report, with the file's labels
-        require_category(C)
-    print(shape.describe())
+    require_category(C)
+    print(two_point_shape(C.hom).describe())
     return 0
 
 

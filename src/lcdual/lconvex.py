@@ -17,7 +17,7 @@ from decimal import Decimal, localcontext
 
 from .scalars import EXACT, NEG_INF, POS_INF, ext_add, ext_sub
 from .lattices import get_lattice
-from .categories import VCategory, validate_category, self_enrichment, _index_maps
+from .categories import VCategory, validate_category, self_enrichment, residuals, _index_maps
 
 
 class LConvexSet(VCategory):
@@ -68,14 +68,13 @@ def from_generators(S):
 
     Each bound is the largest difference p(w) - p(v) achieved by a
     generator; with no generators every bound is -inf (the set containing
-    only the all-inf and all-(-inf) points).
+    only the all-inf and all-(-inf) points).  As hom(x, y) is y - x in
+    kbar, these are the residuals of the coordinate rows, in point order.
     """
     n = len(S.index)
     _check_arity(S.points, n)
-    inf = get_lattice("kbar", S.scalar_kind).inf
-    rows = tuple(tuple(inf([ext_sub(p[w], p[v]) for p in S.points]) for w in range(n))
-                 for v in range(n))
-    return LConvexSet(S.scalar_kind, tuple(S.index), rows)
+    L, coords = get_lattice("kbar", S.scalar_kind), [[p[v] for p in S.points] for v in range(n)]
+    return LConvexSet(S.scalar_kind, tuple(S.index), residuals(L, coords))
 
 
 _PASS_NINF = Decimal("-Infinity")

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import random
+from decimal import Decimal
 from itertools import product
 
 import pytest
@@ -12,8 +13,9 @@ from lcdual.categories import (
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
     compose_functors, functor_hom, canonical_leq, enumerate_functors,
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
-    InvalidCategory, require_category,
+    InvalidCategory, require_category, residuals,
 )
+from lcdual.lconvex import closure, make_lcs
 
 from conftest import kcat, INF, NINF, random_valid_kcat
 
@@ -212,6 +214,95 @@ def test_verify_yoneda_random():
     for _ in range(100):
         C = random_valid_kcat(rng, 4)
         assert verify_yoneda(C)
+
+
+def reference_verify_yoneda(C):
+    """`verify_yoneda` as the loop the residuation kernel replaced: each
+    representable of C and of its opposite built as a Presheaf, and the
+    distance of every pair taken on its own."""
+    for X in (C, opposite(C)):
+        L, ys = X.lattice, [yoneda(X, b) for b in X.objects]
+        for p, row in zip(ys, X.hom):
+            for q, h in zip(ys, row):
+                if L.inf([L.hom(x, y) for x, y in zip(p.values, q.values)]) != h:
+                    return False
+    return True
+
+
+LATTICE_KINDS = [("two", "int"), ("kbar", "int"), ("kbar", "real"), ("kbar_plus", "int"),
+                 ("kbar_plus", "real"), ("kbar_plus_cart", "int"), ("kbar_plus_cart", "real")]
+
+
+def _pool(L):
+    """Grid values of L; for the real kind also halves and int payloads, so
+    equal values of different types (0 and Decimal 0) meet."""
+    if L.scalar_kind == "int":
+        return L.carrier_grid(2)
+    extra = [Decimal("-1.5"), Decimal("0.5"), Decimal("2.5"), -1, 0, 1]
+    return L.carrier_grid(2) + [x for x in extra if L.contains(x)]
+
+
+def _closed(L, rows):
+    """The least category matrix above rows: kbar through `closure`, the
+    other lattices by one Floyd-Warshall pass of sup and tensor (they have
+    no cycle that keeps improving)."""
+    n = len(rows)
+    if L.name == "kbar":
+        return closure(make_lcs(range(n), rows, L.scalar_kind)).hom
+    d = [list(row) for row in rows]
+    for i in range(n):
+        d[i][i] = L.sup([d[i][i], L.unit])
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = L.sup([d[i][j], L.tensor(d[i][k], d[k][j])])
+    return d
+
+
+def random_matrices(name, kind, per_size, seed=0):
+    """For n = 0..6, per_size raw, closed and closed-then-perturbed matrices
+    over the lattice, as categories (valid or not)."""
+    rng, L = random.Random("%s/%s/%d" % (name, kind, seed)), get_lattice(name, kind)
+    pool = _pool(L)
+    for n in range(7):
+        for _ in range(per_size):
+            raw = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            closed = _closed(L, raw)
+            perturbed = [list(row) for row in closed]
+            if n:
+                perturbed[rng.randrange(n)][rng.randrange(n)] = rng.choice(pool)
+            for rows in (raw, closed, perturbed):
+                yield make_category(L, range(n), rows)
+
+
+@pytest.mark.parametrize("name,kind", LATTICE_KINDS)
+def test_verify_yoneda_matches_reference(name, kind):
+    outcomes = []
+    for C in random_matrices(name, kind, 40):
+        outcomes.append(verify_yoneda(C))
+        assert outcomes[-1] == reference_verify_yoneda(C), C.hom
+    assert True in outcomes and False in outcomes
+
+
+@pytest.mark.parametrize("name,kind", LATTICE_KINDS)
+def test_enriched_yoneda_lemma(name, kind):
+    # a matrix is a category iff its residuals are its transpose
+    L, valid = get_lattice(name, kind), 0
+    for C in random_matrices(name, kind, 60, seed=1):
+        is_category = validate_category(C) == []
+        valid += is_category
+        assert is_category == (residuals(L, C.hom) == tuple(zip(*C.hom))), C.hom
+    assert 0 < valid < 7 * 60 * 3
+
+
+def test_residuals_examples():
+    L = get_lattice("kbar")
+    # distances between the rows (0, 3) and (4, 0): hom(x, y) = y - x, inf = usual max
+    assert residuals(L, ((0, 3), (4, 0))) == ((0, 4), (3, 0))
+    assert residuals(L, ((), ())) == ((NEG_INF, NEG_INF), (NEG_INF, NEG_INF))
+    assert residuals(L, ()) == ()
+    C = make_category(L, "ab", ((0, 3), (4, 0)))
+    assert presheaf_dist(yoneda(C, "a"), yoneda(C, "b")) == residuals(L, tuple(zip(*C.hom)))[0][1]
 
 
 def test_mismatched_functors_rejected():

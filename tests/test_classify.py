@@ -5,11 +5,12 @@ import pytest
 
 from lcdual.scalars import fin
 from lcdual.classify import (
-    classify_two_point, exhaustive_partition, render_region,
+    FAMILIES, classify_two_point, exhaustive_partition, render_region,
     WHOLE_PLANE, HALF_PLANE, BAND, ORTHOGONAL_LINES, PARALLEL_LINES,
     LINE_AND_POINT_F, LINE_AND_POINT_G, FOUR_POINTS, THREE_POINTS, TWO_POINTS,
 )
 from lcdual.duality import cat_to_lcs, lcs_to_cat
+from lcdual.lconvex import grid_members
 
 from conftest import kcat, INF, NINF
 
@@ -131,6 +132,62 @@ def test_exhaustive_partition():
     assert all(report["counts"][f] > 0 for f in report["counts"])
     # determinism
     assert exhaustive_partition(2) == report
+
+
+def member_patterns(rows, bound):
+    """The grid members at this bound, each written as a pattern: '+' for an
+    inf coordinate, '-' for -inf, 'f' for a finite one."""
+    return {"".join("+" if x == INF else "-" if x == NINF else "f" for x in p)
+            for p in grid_members(cat_to_lcs(kcat(rows)), bound)}
+
+
+def swap_key(patterns):
+    """A pattern set, up to swapping the two coordinates."""
+    return min(tuple(sorted(patterns)), tuple(sorted(p[::-1] for p in patterns)))
+
+
+# each family's member patterns in its canonical orientation
+FAMILY_PATTERNS = {
+    WHOLE_PLANE: {a + b for a in "+-f" for b in "+-f"},
+    HALF_PLANE: {"++", "+-", "+f", "--", "f-", "ff"},
+    BAND: {"++", "--", "ff"},
+    ORTHOGONAL_LINES: {"++", "+-", "+f", "--", "f-"},
+    PARALLEL_LINES: {"++", "+-", "+f", "-+", "--", "-f"},
+    LINE_AND_POINT_F: {"++", "-+", "--", "-f"},
+    LINE_AND_POINT_G: {"++", "+-", "+f", "--"},
+    FOUR_POINTS: {"++", "+-", "-+", "--"},
+    THREE_POINTS: {"++", "+-", "--"},
+    TWO_POINTS: {"++", "--"},
+}
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_member_patterns_determine_the_family(bound):
+    # the set-level oracle: a family is its members' shape, read off grid_members
+    # at bound + 1 (room for every finite bound of the matrix to be attained)
+    grid = [NINF] + list(range(-bound, bound + 1)) + [INF]
+    family_of, key_of, params = {}, {}, 0
+    for cells in product(grid, repeat=4):
+        rows = (cells[:2], cells[2:])
+        shape = classify_two_point(m(rows))
+        if shape is None:
+            continue
+        patterns = member_patterns(rows, bound + 1)
+        key = swap_key(patterns)
+        assert family_of.setdefault(key, shape.family) == shape.family, rows
+        assert key_of.setdefault(shape.family, key) == key, rows
+        # in the canonical orientation the set itself, not only its key, is the family's
+        oriented = {p[::-1] for p in patterns} if shape.swapped else patterns
+        assert oriented == FAMILY_PATTERNS[shape.family], rows
+        if shape.family in (HALF_PLANE, BAND):
+            finite = [(y, x) if shape.swapped else (x, y)
+                      for x, y in grid_members(cat_to_lcs(kcat(rows)), bound + 1)
+                      if NINF < x < INF and NINF < y < INF]
+            extremes = (max(y - x for x, y in finite), max(x - y for x, y in finite))
+            assert shape.params == extremes[:len(shape.params)], rows
+            params += 1
+    assert len(family_of) == len(key_of) == len(FAMILIES)
+    assert params == {2: 25, 3: 42}[bound]
 
 
 def test_render_whole_plane():

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from lcdual import cli
-from lcdual.categories import enumerate_functors
+from lcdual import categories, classify, cli
+from lcdual.categories import enumerate_functors, validate_category
 from lcdual.cli import main
 from lcdual.docfiles import parse_document, to_category, to_lcs
 from lcdual.duality import enumerate_homs
@@ -412,6 +412,24 @@ def test_classify2(kind, write, capsys):
     assert "composition law" in capsys.readouterr().out
     assert main(["classify2", write("gens.gen", GENS_TEXT)]) == 2
     assert "expects a kcategory or lconvex file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(MATRIX_CASES))
+def test_classify2_validates_each_input_once(kind, write, capsys, monkeypatch):
+    calls = []
+
+    def counted(C):
+        calls.append(C)
+        return validate_category(C)
+    for module in (categories, classify):
+        monkeypatch.setattr(module, "validate_category", counted)
+    good, broken, shape = MATRIX_CASES[kind]
+    assert main(["classify2", write("good.txt", good)]) == 0
+    assert capsys.readouterr().out == shape + "\n"
+    assert len(calls) == 1
+    assert main(["classify2", write("bad.txt", broken)]) == 1
+    assert capsys.readouterr().out.startswith("composition law fails")
+    assert len(calls) == 2
 
 
 def test_yoneda_check(write, capsys):

@@ -132,6 +132,38 @@ def test_from_generators_bounds_past_the_float_range():
     assert D.dbm == ((z, Decimal("2E+308")), (Decimal("-2E+308"), z))
 
 
+def reference_from_generators(S):
+    """The bound loop that `from_generators` replaced by the residuation kernel."""
+    n = len(S.index)
+    inf = get_lattice("kbar", S.scalar_kind).inf
+    rows = tuple(tuple(inf([ext_sub(p[w], p[v]) for p in S.points]) for w in range(n))
+                 for v in range(n))
+    return LConvexSet(S.scalar_kind, tuple(S.index), rows)
+
+
+HULL_COORDS = {
+    "int": [NEG_INF, -2, -1, 0, 1, 2, POS_INF],
+    # equal values with different payloads: on a tie the first generator's payload wins
+    "real": [NEG_INF, -1, 0, 1, Decimal("-1.0"), Decimal("0.0"), Decimal("1.0"), Decimal("0.5"),
+             Decimal("-2.5"), POS_INF],
+}
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+def test_from_generators_matches_reference(kind):
+    rng, coords = random.Random(kind), HULL_COORDS[kind]
+    for n in range(5):
+        index = tuple("vwxyz"[:n])
+        for k in range(6):
+            for _ in range(14):
+                pts = tuple(tuple(rng.choice(coords) for _ in range(n)) for _ in range(k))
+                got = from_generators(GeneratorSet(index, pts, kind)).dbm
+                want = reference_from_generators(GeneratorSet(index, pts, kind)).dbm
+                assert got == want, pts
+                assert ([[(type(x), format_scalar(x)) for x in row] for row in got]
+                        == [[(type(x), format_scalar(x)) for x in row] for row in want]), pts
+
+
 def test_from_generators_contains_generators_and_is_minimal():
     rng = random.Random(5)
     grid = [NINF, -2, -1, 0, 1, 2, INF]
