@@ -20,7 +20,7 @@ from .lconvex import (
     point_sup, point_inf, canonical_points, grid_members,
 )
 from .duality import (
-    Homomorphism, make_homomorphism, pullback,
+    make_homomorphism, pullback,
     cat_to_lcs, lcs_to_cat, roundtrip_cat, roundtrip_lcs,
     is_homomorphism, functor_to_hom, hom_to_functor,
     hom_canonical_leq, enumerate_homs,

@@ -136,7 +136,7 @@ def cmd_homs(args):
     D = _load(args.domain, "homs", "lconvex")
     E = _load(args.codomain, "homs", "lconvex")
     require_category(D, E)
-    return _print_maps([phi.index_map for phi in enumerate_homs(D, E)])
+    return _print_maps([F.object_map for F in enumerate_homs(D, E)])
 
 
 def cmd_leq(args):

@@ -6,13 +6,13 @@ category on relabeled points pi_v with the same matrix.  The round trips
 are identities up to these relabelings.
 
 Maps: a homomorphism D -> E is the functor [E] -> [D] with the same index
-map, and is stored as that functor: one tuple of positions in D's index,
-in E's index order.  A functor A -> B is a homomorphism [B] -> [A] with
-the same positions; directions reverse.  The canonical orderings transfer
-along the same correspondence.
+map, and is represented by that functor: its domain is E, its codomain is
+D, its positions hold one position in D's index per index of E, in E's
+index order, and its object_map pairs each index of E with its image in
+D.  A functor A -> B is a homomorphism [B] -> [A] with the same positions;
+directions reverse.  The canonical orderings transfer along the same
+correspondence.
 """
-
-from dataclasses import dataclass
 
 from .categories import (
     VCategory, VFunctor, make_functor, require_category, is_functor, canonical_leq,
@@ -23,35 +23,14 @@ from .lconvex import LConvexSet
 PI_PREFIX = "pi_"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Homomorphism:
-    """A homomorphism D -> E, held as the functor [E] -> [D] it is."""
-    functor: VFunctor
-
-    def __init__(self, functor):
-        # one per search result, so stored like VFunctor's fields: see there
-        _set_functor(self, functor)
-
-    domain = property(lambda self: self.functor.codomain)
-    codomain = property(lambda self: self.functor.domain)
-    # pairs (codomain index label, domain index label)
-    index_map = property(lambda self: self.functor.object_map)
-
-    def __call__(self, w):
-        return self.functor(w)
-
-
-_set_functor = Homomorphism.__dict__["functor"].__set__
-
-
 def make_homomorphism(D, E, mapping):
-    """Build from a mapping ind E -> ind D (note the reversal)."""
-    return Homomorphism(make_functor(E, D, mapping))
+    """The homomorphism D -> E from a mapping ind E -> ind D (note the reversal)."""
+    return make_functor(E, D, mapping)
 
 
 def pullback(phi, p):
-    """The underlying point map: precompose coordinates with the functor's positions."""
-    return tuple(p[j] for j in phi.functor.positions)
+    """The underlying point map: precompose coordinates with phi's positions."""
+    return tuple(p[j] for j in phi.positions)
 
 
 def _require_valid_category(A):
@@ -95,19 +74,19 @@ def roundtrip_lcs(D):
 
 
 def is_homomorphism(phi):
-    """Matrix test: every codomain bound dominates the pulled-back bound.
+    """Matrix test for phi: D -> E: every bound of E dominates the pulled-back bound of D.
 
     This is the functor check on the transposed pair: the increasing
     condition for the same index map from E's matrix to D's under the kbar
     order.  Equivalent to the defining condition that the pullback carries
-    every member of the domain to a member of the codomain.
+    every member of D to a member of E.
     """
-    return is_functor(phi.functor)
+    return is_functor(phi)
 
 
 def functor_to_hom(F):
     """A functor A -> B as a homomorphism [B] -> [A] (same underlying map)."""
-    phi = Homomorphism(VFunctor(cat_to_lcs(F.domain), cat_to_lcs(F.codomain), F.positions))
+    phi = VFunctor(cat_to_lcs(F.domain), cat_to_lcs(F.codomain), F.positions)
     if not is_homomorphism(phi):
         raise ValueError("functor does not satisfy the increasing condition")
     return phi
@@ -115,7 +94,7 @@ def functor_to_hom(F):
 
 def hom_to_functor(phi):
     """A homomorphism D -> E as a functor on points, pi_w |-> pi_f(w)."""
-    return VFunctor(lcs_to_cat(phi.codomain), lcs_to_cat(phi.domain), phi.functor.positions)
+    return VFunctor(lcs_to_cat(phi.domain), lcs_to_cat(phi.codomain), phi.positions)
 
 
 def hom_canonical_leq(phi, psi):
@@ -125,7 +104,7 @@ def hom_canonical_leq(phi, psi):
     map; that holds exactly when 0 >= dbm_D[f(w)][g(w)] for every w, the
     canonical ordering of the corresponding functors [E] -> [D].
     """
-    return canonical_leq(phi.functor, psi.functor)
+    return canonical_leq(phi, psi)
 
 
 def enumerate_homs(D, E):
@@ -133,4 +112,4 @@ def enumerate_homs(D, E):
 
     These are the functors [E] -> [D]: the same search on the transposed pair.
     """
-    return [Homomorphism(F) for F in enumerate_functors(E, D)]
+    return enumerate_functors(E, D)

@@ -49,12 +49,17 @@ class EnrichingLattice:
         """Finite slice of the carrier used by exhaustive law checks."""
         raise NotImplementedError
 
+    # an exact int at or above _floor lies in the carrier, so _checked skips
+    # its contains call; no int reaches the default
+    _floor = POS_INF
+
     def _checked(self, xs):
         """xs as a list, each member checked to lie in the carrier."""
         xs = list(xs)
-        contains = self.contains
+        contains, floor = self.contains, self._floor
         for x in xs:
-            if not contains(x):
+            # True is no int by type, so it still goes to contains, which refuses it
+            if not (type(x) is int and x >= floor) and not contains(x):
                 raise ValueError("outside carrier: %s" % format_scalar(x))
         return xs
 
@@ -83,17 +88,12 @@ class TwoLattice(EnrichingLattice):
         return x is FALSE or y is TRUE
 
     def tensor(self, x, y):
-        self._require_truths(x, y)
+        self._checked((x, y))
         return TRUE if x is TRUE and y is TRUE else FALSE
 
     def hom(self, x, y):
-        self._require_truths(x, y)
+        self._checked((x, y))
         return TRUE if x is FALSE or y is TRUE else FALSE
-
-    def _require_truths(self, x, y):
-        for v in (x, y):
-            if v is not TRUE and v is not FALSE:
-                raise ValueError("expected a truth value, got %s" % format_scalar(v))
 
     def sup(self, xs):
         return TRUE if TRUE in self._checked(xs) else FALSE
@@ -128,16 +128,6 @@ class _NumericLattice(EnrichingLattice):
         xs = self._checked(xs)
         return max(xs) if xs else self._top
 
-    def _checked(self, xs):
-        xs = list(xs)
-        contains, floor = self.contains, self._floor
-        for x in xs:
-            # an exact int at or above the floor is in the carrier; True is
-            # no int by type, so it still goes to contains, which refuses it
-            if not (type(x) is int and x >= floor) and not contains(x):
-                raise ValueError("outside carrier: %s" % format_scalar(x))
-        return xs
-
     def _grid(self, lo, bound):
         mk = Decimal if self._real else int
         return [mk(v) for v in range(lo, bound + 1)] + [POS_INF]
@@ -156,6 +146,8 @@ class KbarLattice(_NumericLattice):
         return (t is int or t is float and (x == POS_INF or x == NEG_INF)
                 or t is Decimal and self._real and x.is_finite())
 
+    # unchecked, unlike the other lattices: validate_category's triple loop
+    # runs here, on entries VCategory checked when it was built
     def tensor(self, x, y):
         return ext_add(x, y)
 
@@ -179,19 +171,14 @@ class KbarPlusLattice(_NumericLattice):
                 or t is Decimal and self._real and x.is_finite() and x >= 0)
 
     def tensor(self, x, y):
-        self._require_nonneg(x, y)
+        self._checked((x, y))
         return ext_add(x, y)
 
     def hom(self, x, y):
         # y - x truncated at the unit; subtracting inf gives the unit, even from inf
-        self._require_nonneg(x, y)
+        self._checked((x, y))
         d = ext_sub(y, x)
         return d if d > 0 else self.unit
-
-    def _require_nonneg(self, x, y):
-        for v in (x, y):
-            if v is TRUE or v is FALSE or not v >= 0:
-                raise ValueError("operand %s not in the nonnegative carrier" % format_scalar(v))
 
     def carrier_grid(self, bound):
         return self._grid(0, bound)
@@ -203,11 +190,11 @@ class KbarPlusCartLattice(KbarPlusLattice):
     name = "kbar_plus_cart"
 
     def tensor(self, x, y):
-        self._require_nonneg(x, y)
+        self._checked((x, y))
         return max(x, y)
 
     def hom(self, x, y):
-        self._require_nonneg(x, y)
+        self._checked((x, y))
         return self.unit if x >= y else y
 
 

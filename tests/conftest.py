@@ -1,6 +1,8 @@
-import random
-
 from lcdual.lattices import get_lattice
+from lcdual.scalars import NEG_INF, POS_INF, fin
+from lcdual.categories import make_category
+from lcdual.lconvex import closure, make_lcs
+from lcdual.duality import lcs_to_cat
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -13,9 +15,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in VERDICT_LINES:
             terminalreporter.write_line(line)
-from lcdual.scalars import NEG_INF, POS_INF, fin
-from lcdual.categories import make_category
-from lcdual.lconvex import closure, make_lcs
 
 
 def kcat(rows, labels=None, kind="int"):
@@ -49,5 +48,4 @@ def random_valid_lcs(rng, n_indices, entry_bound=3, labels=None):
 
 
 def random_valid_kcat(rng, n_objects, entry_bound=3):
-    from lcdual.duality import lcs_to_cat
     return lcs_to_cat(random_valid_lcs(rng, n_objects, entry_bound))

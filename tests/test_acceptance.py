@@ -210,17 +210,17 @@ def test_criterion_4_map_duality():
             image = set()
             for F in fs:
                 phi = functor_to_hom(F)
-                image.add(phi.index_map)
+                image.add(phi.object_map)
                 back = hom_to_functor(phi)
                 if any(back("pi_" + a) != "pi_" + F(a) for a in A.objects):
                     failures.append("functor round trip %s -> %s" % (name_a, name_b))
-            if image != {phi.index_map for phi in hs}:
+            if image != {phi.object_map for phi in hs}:
                 failures.append("not a bijection %s -> %s" % (name_a, name_b))
             for phi in hs:
                 G = hom_to_functor(phi)
                 psi = functor_to_hom(G)
                 want = tuple(("pi_" + w, "pi_" + phi(w)) for w in E.index)
-                if psi.index_map != want:
+                if psi.object_map != want:
                     failures.append("hom round trip %s -> %s" % (name_a, name_b))
     verdict(4, "map duality bijections", not failures,
             failures[0] if failures else "100 ordered family pairs, all matched")

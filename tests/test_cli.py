@@ -335,6 +335,24 @@ def test_maps_print_label_by_label(write, capsys):
         assert capsys.readouterr().out == "\n".join(want + ["count: 27"]) + "\n"
 
 
+HALFPLANE_LCX = BAND_LCX.replace("d: w v 1", "d: w v inf")
+
+
+def test_homs_are_the_functors_between_the_duals(write, capsys):
+    # a homomorphism D -> E is the functor [E] -> [D] with the same index map
+    docs, duals = [], []
+    for k, text in enumerate((BAND_LCX, TWOPOINTS_LCX, HALFPLANE_LCX, _collapsed("lconvex", "uvw"))):
+        docs.append(write("%d.lcx" % k, text))
+        assert main(["dual", docs[-1]]) == 0
+        duals.append(write("%d.kcat" % k, capsys.readouterr().out))
+    for d, dual_d in zip(docs, duals):
+        for e, dual_e in zip(docs, duals):
+            assert main(["homs", d, e]) == 0
+            homs = capsys.readouterr().out
+            assert main(["functors", dual_e, dual_d]) == 0
+            assert capsys.readouterr().out.replace("pi_", "") == homs
+
+
 # the self-distance at a is 1, so the identity law fails there
 INVALID_KCAT = "kind: kcategory\nscalar: int\npoints: a b\n" \
                "hom: a a 1\nhom: a b 5\nhom: b a 1\nhom: b b 0\n"

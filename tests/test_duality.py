@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import inspect
 import pickle
 import random
 from itertools import product
@@ -15,7 +14,7 @@ from lcdual.categories import (
 )
 from lcdual.lconvex import member, grid_members, canonical_points
 from lcdual.duality import (
-    Homomorphism, make_homomorphism, pullback, cat_to_lcs, lcs_to_cat,
+    make_homomorphism, pullback, cat_to_lcs, lcs_to_cat,
     roundtrip_cat, roundtrip_lcs, is_homomorphism,
     functor_to_hom, hom_to_functor, hom_canonical_leq,
     enumerate_homs,
@@ -142,7 +141,7 @@ def test_hom_canonical_leq():
 
 def hom_leq_pointwise(phi, psi, bound=3):
     """Oracle form of the ordering: compare pullbacks on every grid member."""
-    for p in grid_members(phi.domain, bound):
+    for p in grid_members(phi.codomain, bound):
         if not all(x >= y for x, y in zip(pullback(phi, p), pullback(psi, p))):
             return False
     return True
@@ -210,25 +209,21 @@ def test_search_results_survive_pickle_and_copy(how):
     assert G.positions == F.positions and G.object_map == F.object_map
     assert G("c") == F("c")
     psi = dup(phi)
-    assert psi.functor == phi.functor
     assert psi.domain == phi.domain and psi.codomain == phi.codomain
-    assert psi.index_map == phi.index_map
+    assert psi.object_map == phi.object_map
     assert psi("c") == phi("c") and pullback(psi, (0, 1)) == pullback(phi, (0, 1))
 
 
 def test_search_built_homs_are_frozen():
     A = kcat([[0, 1, 2], [2, 0, 1], [3, 3, 0]])
     B = kcat([[0, 2], [1, 0]], labels=("u", "v"))
-    for phi in enumerate_homs(cat_to_lcs(B), cat_to_lcs(A)):
-        F = phi.functor
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            phi.functor = identity_functor(F.domain)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del phi.functor
-        assert phi.functor is F
-
-
-def test_homomorphism_init_takes_every_field():
-    # the hand-written __init__ stores each field itself: a field added later must be a parameter
-    params = list(inspect.signature(Homomorphism.__init__).parameters)
-    assert params == ["self"] + [f.name for f in dataclasses.fields(Homomorphism)]
+    homs = enumerate_homs(cat_to_lcs(B), cat_to_lcs(A))
+    assert homs
+    for phi in homs:
+        before = (phi.domain, phi.codomain, phi.positions)
+        for f in dataclasses.fields(phi):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(phi, f.name, getattr(phi, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(phi, f.name)
+        assert (phi.domain, phi.codomain, phi.positions) == before

@@ -289,6 +289,26 @@ def test_sup_inf_keep_values_and_payload_types(name, kind):
                 assert got == want and type(got) is type(want), xs
 
 
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("name", ["two", "kbar_plus", "kbar_plus_cart"])
+def test_tensor_hom_refuse_operands_outside_the_carrier(name, kind):
+    # kbar is left out: its tensor and hom check nothing
+    L = get_lattice(name, kind)
+    grid = L.carrier_grid(3)
+    for x in grid:
+        for y in grid:
+            assert L.contains(L.tensor(x, y)) and L.contains(L.hom(x, y)), (x, y)
+    outside = ([True, False, 0, 1, POS_INF, NEG_INF, Decimal(1)] if name == "two"
+               else _outside(name, kind))
+    for bad in outside:
+        assert not L.contains(bad), bad
+        for op in (L.tensor, L.hom):
+            for x, y in [(bad, g) for g in grid] + [(g, bad) for g in grid]:
+                with pytest.raises(ValueError) as err:
+                    op(x, y)
+                assert str(err.value) == "outside carrier: %s" % format_scalar(bad)
+
+
 def test_carrier_membership():
     kplus = get_lattice("kbar_plus")
     assert not kplus.contains(NEG_INF)
