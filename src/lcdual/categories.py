@@ -12,7 +12,7 @@ views are read off these tuples.
 """
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import eq
 
 from .scalars import format_scalar
@@ -154,7 +154,9 @@ def _increasing(src, dst, rel, c):
 
 
 def _index_maps(src, dst, leq):
-    """Every index map c that passes the increasing condition, lexicographic.
+    """Every index map c that passes the increasing condition, lexicographic,
+    yielded one level at a time: each level is a non-empty iterable of the
+    maps that share all but their last position.
 
     Depth-first search with forward checking (Haralick & Elliott 1980) over
     bitmask domains (Ullmann 1976): objects are assigned in src order,
@@ -162,27 +164,28 @@ def _index_maps(src, dst, leq):
     object's domain with one AND to the values compatible with it both ways;
     an empty domain cuts the branch.  Once every object but the last is
     assigned, each value left in the last object's domain completes a map,
-    so that level is emitted whole.  leq runs only to tabulate, once per
-    distinct src value and dst entry: at most len(set(src values)) * |dst|^2
-    calls.
+    so that level is handed over whole and lazily.  An empty src has the one
+    level ((),).  leq runs only to tabulate, once per distinct src value and
+    dst entry: at most len(set(src values)) * |dst|^2 calls.
     """
     n = len(src)
     if n == 0:
-        yield ()
+        yield ((),)
         return
     powers = [1 << y for y in range(len(dst))]
-    rows, cols = {}, {}
+    rows, cols, firsts = {}, {}, {}
     for s in {s for row in src for s in row}:
         ok = [[leq(s, d) for d in drow] for drow in dst]
         rows[s] = [sum(compress(powers, r)) for r in ok]
         cols[s] = [sum(compress(powers, col)) for col in zip(*ok)]
-    # both[i][k][x]: the y with leq(src[i][k], dst[x][y]) and leq(src[k][i], dst[y][x])
-    both = [[[r & col for r, col in zip(rows[src[i][k]], cols[src[k][i]])] for k in range(n)]
-            for i in range(n)]
+        firsts[s] = sum(compress(powers, [r[x] for x, r in enumerate(ok)]))
+    # both[i][k - i - 1][x], for k > i only: the y with leq(src[i][k], dst[x][y])
+    # and leq(src[k][i], dst[y][x]); both[i][-1] is always k = n - 1
+    both = [[[r & col for r, col in zip(rows[src[i][k]], cols[src[k][i]])]
+             for k in range(i + 1, n)] for i in range(n)]
     # domains[i]: every object's domain after assigning objects 0..i-1; at
-    # first, object i may take x iff leq(src[i][i], dst[x][x]), bit x of both[i][i][x]
-    domains = [[sum(compress(powers, [b >> x & 1 for x, b in enumerate(both[i][i])]))
-                for i in range(n)]]
+    # first, object i may take x iff leq(src[i][i], dst[x][x])
+    domains = [[firsts[src[i][i]] for i in range(n)]]
     last = n - 1
     tails = {}  # a last-object domain mask -> its values as 1-tuples, lowest first
 
@@ -193,9 +196,11 @@ def _index_maps(src, dst, leq):
         return t
 
     if last == 0:
-        yield from values(domains[0][0])
+        if domains[0][0]:
+            yield values(domains[0][0])
         return
     c = [0] * last
+    to_last = both[last - 1][-1]
     untried = [domains[0][0]]  # untried[i]: the values of object i not yet tried
     while untried:
         i = len(untried) - 1
@@ -208,13 +213,13 @@ def _index_maps(src, dst, leq):
         untried[i] = rest ^ low
         c[i] = x = low.bit_length() - 1
         if i == last - 1:
-            tail = domains[i][last] & both[i][last][x]
+            tail = domains[i][last] & to_last[x]
             if tail:
-                yield from map(tuple(c).__add__, values(tail))
+                yield map(tuple(c).__add__, values(tail))
             continue
-        narrowed, step = domains[i][:], both[i]
-        for k in range(i + 1, n):
-            narrowed[k] &= step[k][x]
+        narrowed = domains[i][:]
+        for k, step in enumerate(both[i], i + 1):
+            narrowed[k] &= step[x]
             if not narrowed[k]:
                 break
         else:
@@ -263,7 +268,8 @@ def _check_parallel(F, G):
 
 def enumerate_functors(A, B):
     """All functors A -> B, lexicographic in B's object order."""
-    return [VFunctor(A, B, c) for c in _index_maps(A.hom, B.hom, A.lattice.leq)]
+    levels = _index_maps(A.hom, B.hom, A.lattice.leq)
+    return list(map(VFunctor, repeat(A), repeat(B), chain.from_iterable(levels)))
 
 
 def residuals(L, rows):

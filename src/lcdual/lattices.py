@@ -146,8 +146,9 @@ class KbarLattice(_NumericLattice):
         return (t is int or t is float and (x == POS_INF or x == NEG_INF)
                 or t is Decimal and self._real and x.is_finite())
 
-    # unchecked, unlike the other lattices: validate_category's triple loop
-    # runs here, on entries VCategory checked when it was built
+    # no carrier check, unlike the other lattices: validate_category's triple
+    # loop runs here, on entries VCategory checked when it was built.  Off
+    # their int-int path, ext_add and ext_sub refuse a bool beside a finite operand.
     def tensor(self, x, y):
         return ext_add(x, y)
 

@@ -55,19 +55,23 @@ def fin(value):
 
 
 def ext_add(x, y):
-    """Extended addition: inf absorbs on either side, then -inf does."""
+    """Extended addition: inf absorbs on either side, then -inf does.
+
+    With no infinity among them, both operands must be ints or finite
+    Decimals (`fin`): True == 1, but a bool raises ValueError, unsummed.
+    """
     if x == POS_INF or y == POS_INF:
         return POS_INF
     if x == NEG_INF or y == NEG_INF:
         return NEG_INF
-    return x + y if type(x) is int and type(y) is int else EXACT.add(x, y)
+    return x + y if type(x) is int and type(y) is int else EXACT.add(fin(x), fin(y))
 
 
 def ext_sub(y, x):
     """Extended subtraction y - x (argument order matches hom(x, y) = y - x).
 
     Subtracting inf gives -inf for every y; subtracting -inf gives inf
-    unless y itself is -inf.
+    unless y itself is -inf.  Finite operands are checked as in ext_add.
     """
     if x == POS_INF:
         return NEG_INF
@@ -75,7 +79,7 @@ def ext_sub(y, x):
         return NEG_INF if y == NEG_INF else POS_INF
     if y == POS_INF or y == NEG_INF:
         return y
-    return y - x if type(x) is int and type(y) is int else EXACT.subtract(y, x)
+    return y - x if type(x) is int and type(y) is int else EXACT.subtract(fin(y), fin(x))
 
 
 def format_scalar(x):

@@ -506,6 +506,25 @@ def test_dual_on_an_invalid_input_as_a_process(write):
     assert done.stdout.splitlines() == identity_fails("a") and done.stderr == ""
 
 
+def test_main_is_reentrant_in_one_process(write, capsys):
+    # pins what a parser kept between calls must preserve: --map is an
+    # append action, so no call may see another call's maps, and a usage
+    # error must leave nothing behind for the next call
+    path = write("c.kcat", BAND_KCAT.replace("hom: v w 1", "hom: v w 0"))
+    for first, second in (("v:v,w:w", "v:w,w:w"), ("v:w,w:w", "v:v,w:w")):
+        argv = ["leq", path, path, "--map", first, "--map", second]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        alone = run_cli(*argv)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+    with pytest.raises(SystemExit) as exc:
+        main(["leq", path, "--map", "v:v,w:w"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr() == ("valid\n", "")
+
+
 def test_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.kcat"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -292,7 +292,7 @@ def test_sup_inf_keep_values_and_payload_types(name, kind):
 @pytest.mark.parametrize("kind", ["int", "real"])
 @pytest.mark.parametrize("name", ["two", "kbar_plus", "kbar_plus_cart"])
 def test_tensor_hom_refuse_operands_outside_the_carrier(name, kind):
-    # kbar is left out: its tensor and hom check nothing
+    # kbar is left out: its tensor and hom check no carrier (but see the bool test below)
     L = get_lattice(name, kind)
     grid = L.carrier_grid(3)
     for x in grid:
@@ -307,6 +307,19 @@ def test_tensor_hom_refuse_operands_outside_the_carrier(name, kind):
                 with pytest.raises(ValueError) as err:
                     op(x, y)
                 assert str(err.value) == "outside carrier: %s" % format_scalar(bad)
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+def test_kbar_refuses_a_bool_operand(kind):
+    # kbar's tensor and hom check no carrier, but past the int-int path
+    # ext_add and ext_sub take only ints and finite Decimals: True == 1.
+    # test_operation_tables pins their results on ints, Decimals and infinities.
+    L = get_lattice("kbar", kind)
+    for op in (L.tensor, L.hom):
+        for bad in (True, False):
+            for x, y in ((bad, 1), (bad, 3), (1, bad), (Decimal(2), bad), (bad, bad)):
+                with pytest.raises(ValueError):
+                    op(x, y)
 
 
 def test_carrier_membership():

@@ -6,7 +6,8 @@ Here every index map is tried and checked by the definitions, written out
 independently: functors by the per-pair increasing condition, homs by
 pulling back grid members and canonical points.  A work bound catches a
 search that calls the order more than once per distinct source value and
-target entry.
+target entry, and the same test pins the search's levels: non-empty, each
+a run of maps that differ only in their last position.
 """
 
 import random
@@ -154,7 +155,11 @@ def test_search_work_is_bounded_by_the_condition_table(lattice):
             calls.append(1)
             return L.leq(s, d)
 
-        got = list(_index_maps(A.hom, B.hom, leq))
+        levels = [list(level) for level in _index_maps(A.hom, B.hom, leq)]
+        for level in levels:
+            assert level
+            assert len({c[:-1] for c in level}) == 1
+        got = [c for level in levels for c in level]
         assert [tuple(B.objects[j] for j in c) for c in got] == oracle_functors(A, B)
         assert len(calls) <= len({v for row in A.hom for v in row}) * len(B.objects) ** 2
 
