@@ -38,9 +38,6 @@ class VCategory:
     def hom_at(self, a, b):
         return self.hom[self._pos[a]][self._pos[b]]
 
-    def has_object(self, a):
-        return a in self._pos
-
 
 def make_category(lattice, objects, hom_rows):
     return VCategory(lattice, tuple(objects), tuple(tuple(row) for row in hom_rows))
@@ -131,13 +128,13 @@ _set_domain, _set_codomain, _set_positions = (
 def make_functor(domain, codomain, mapping):
     """The functor a |-> mapping[a], from a label mapping keyed by exactly the domain's objects."""
     for a in mapping:
-        if not domain.has_object(a):
+        if a not in domain._pos:
             raise ValueError("%r is not a domain object" % (a,))
     positions = []
     for a in domain.objects:
         if a not in mapping:
             raise ValueError("no image given for %r" % (a,))
-        if not codomain.has_object(mapping[a]):
+        if mapping[a] not in codomain._pos:
             raise ValueError("%r maps to %r, outside the codomain" % (a, mapping[a]))
         positions.append(codomain._pos[mapping[a]])
     return VFunctor(domain, codomain, tuple(positions))

@@ -89,11 +89,9 @@ def two_point_shape(m):
         return TwoPointShape(BAND, (d01, d10), swapped)
     diag = sorted((d00, d11))
     if diag == [NEG_INF, 0]:
-        # orient relative to the point with diagonal 0
-        if d00 == 0:
-            a, b = d01, d10  # 0-point -> (-inf)-point, back
-        else:
-            a, b = d10, d01
+        # -inf sorts below 0, so the canonical form puts the -inf point
+        # first: a runs from the 0-point to it, b back
+        a, b = d10, d01
         if a == POS_INF and b == POS_INF:
             return TwoPointShape(PARALLEL_LINES, (), swapped)
         if a == NEG_INF:

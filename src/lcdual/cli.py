@@ -60,10 +60,7 @@ def _parse_point_spec(spec, labels, scalar_kind):
     for lab, text in coords.items():
         if lab not in labels:
             raise DocumentError("unknown label %r in point" % lab)
-        try:
-            coords[lab] = parse_scalar(text, scalar_kind)
-        except ValueError as exc:
-            raise DocumentError(str(exc))
+        coords[lab] = parse_scalar(text, scalar_kind)
     missing = [lab for lab in labels if lab not in coords]
     if missing:
         raise DocumentError("point is missing coordinates: %s" % ", ".join(missing))
@@ -186,11 +183,7 @@ def cmd_render(args):
 
 
 def cmd_laws(args):
-    try:
-        L = get_lattice(args.lattice)
-    except ValueError as exc:
-        raise DocumentError(str(exc))
-    bad = law_violations(L, args.bound)
+    bad = law_violations(get_lattice(args.lattice), args.bound)
     for msg in bad:
         print(msg)
     print("violations: %d" % len(bad))

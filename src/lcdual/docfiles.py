@@ -57,7 +57,6 @@ def parse_document(text):
     labels = None
     entries = {}
     points = []
-    body_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -83,8 +82,6 @@ def parse_document(text):
         elif key in ("index", "points"):
             if labels is not None:
                 raise DocumentError("duplicate label list", lineno)
-            if body_seen:
-                raise DocumentError("label list after body lines", lineno)
             if kind is None:
                 raise DocumentError("label list before the kind header", lineno)
             expected = _KEYS[kind][0]
@@ -101,7 +98,6 @@ def parse_document(text):
                 raise DocumentError("duplicate labels in the label list", lineno)
             labels = tuple(parts)
         elif key in ("hom", "d"):
-            body_seen = True
             if kind is None or scalar is None or labels is None:
                 raise DocumentError("matrix entry before the headers", lineno)
             if kind not in MATRIX_KINDS:
@@ -124,7 +120,6 @@ def parse_document(text):
             except ValueError as exc:
                 raise DocumentError(str(exc), lineno)
         elif key == "point":
-            body_seen = True
             if kind is None or scalar is None or labels is None:
                 raise DocumentError("point line before the headers", lineno)
             if kind not in POINT_KINDS:

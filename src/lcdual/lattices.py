@@ -17,7 +17,9 @@ from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_sca
 
 
 class EnrichingLattice:
-    """Shared interface: order/tensor/hom/sup/inf plus carrier tests."""
+    """Shared machinery.  Each lattice defines contains(x), leq(x, y) (the
+    order, x below y), tensor(x, y), hom(x, y), unit, sup(xs), inf(xs) and
+    carrier_grid(bound), the finite slice of the carrier the law checks use."""
 
     name = None
 
@@ -25,29 +27,6 @@ class EnrichingLattice:
         if scalar_kind not in ("int", "real"):
             raise ValueError("scalar_kind must be 'int' or 'real'")
         self.scalar_kind = scalar_kind
-
-    def contains(self, x):
-        raise NotImplementedError
-
-    def leq(self, x, y):
-        """The lattice order x below y."""
-        raise NotImplementedError
-
-    def tensor(self, x, y):
-        raise NotImplementedError
-
-    def hom(self, x, y):
-        raise NotImplementedError
-
-    def sup(self, xs):
-        raise NotImplementedError
-
-    def inf(self, xs):
-        raise NotImplementedError
-
-    def carrier_grid(self, bound):
-        """Finite slice of the carrier used by exhaustive law checks."""
-        raise NotImplementedError
 
     # an exact int at or above _floor lies in the carrier, so _checked skips
     # its contains call; no int reaches the default

@@ -9,7 +9,7 @@ import pytest
 from lcdual.lattices import get_lattice
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
 from lcdual.categories import (
-    VFunctor, make_category, make_functor, identity_functor, make_presheaf,
+    VFunctor, Presheaf, make_category, make_functor, identity_functor, make_presheaf,
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
     compose_functors, functor_hom, canonical_leq, enumerate_functors,
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
@@ -155,6 +155,12 @@ def test_self_enrichment_two():
     assert validate_category(C) == []
 
 
+def test_self_enrichment_needs_distinct_labels():
+    # 0 and Decimal(0) are both in the real carrier, and both print as 0
+    with pytest.raises(ValueError, match="^carrier values must be distinct$"):
+        self_enrichment(get_lattice("kbar", "real"), [0, Decimal(0)])
+
+
 def test_self_enrichment_all_lattices_valid():
     for name in ("two", "kbar", "kbar_plus", "kbar_plus_cart"):
         L = get_lattice(name)
@@ -169,6 +175,20 @@ def test_presheaf_checks():
     q = make_presheaf(C, {"a": fin(0), "b": fin(-4)})
     assert not is_presheaf(q)  # d(a,b)=3 < p(a)-p(b)=4
     assert presheaf_dist(p, p) <= 0
+
+
+def test_presheaf_needs_one_value_per_object():
+    C = kcat([[0, 3], [4, 0]])
+    for values in ((), (fin(0),), (fin(0), fin(0), fin(0))):
+        with pytest.raises(ValueError, match="^a presheaf needs one value per base object$"):
+            Presheaf(C, values)
+
+
+def test_presheaf_dist_needs_one_base():
+    p = make_presheaf(kcat([[0, 3], [4, 0]]), {"a": fin(0), "b": fin(3)})
+    q = make_presheaf(kcat([[0, 3], [3, 0]]), {"a": fin(0), "b": fin(3)})
+    with pytest.raises(ValueError, match="^presheaves live over different bases$"):
+        presheaf_dist(p, q)
 
 
 @pytest.mark.parametrize("values", [{"a": 0.5, "b": TRUE}, {"a": 0, "b": TRUE}, {"a": 0.5, "b": 0}])
@@ -316,6 +336,9 @@ def test_mismatched_functors_rejected():
         make_functor(C, D, {"a": "a"})  # no image for b
     with pytest.raises(ValueError, match="'z' is not a domain object"):
         make_functor(C, D, {"a": "a", "b": "a", "z": "a"})
+    F = make_functor(C, D, {"a": "a", "b": "a"})
+    with pytest.raises(ValueError, match="^codomain of the inner functor must be the outer domain$"):
+        compose_functors(F, F)
 
 
 def test_vfunctor_rejects_bad_positions():

@@ -48,6 +48,13 @@ def test_band_and_halfplane_params():
     assert shape.family == HALF_PLANE and shape.params == (fin(-2),)
 
 
+def test_describe():
+    assert classify_two_point(m([[0, -2], [INF, 0]])).describe() == "HalfPlane s=-2"
+    assert (classify_two_point(m([[0, INF], [-2, 0]])).describe()
+            == "HalfPlane s=-2 (indices swapped)")
+    assert classify_two_point(m([[0, 2], [1, 0]])).describe() == "Band s=1 t=2 (indices swapped)"
+
+
 def test_swap_invariance():
     for family, rows in FAMILY_MATRICES.items():
         swapped = [[rows[1][1], rows[1][0]], [rows[0][1], rows[0][0]]]
@@ -65,6 +72,8 @@ def test_line_and_point_families_distinct():
 def test_invalid_matrices():
     assert classify_two_point(m([[0, 1], [-2, 0]])) is None
     assert classify_two_point(m([[1, INF], [INF, 0]])) is None
+    with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
+        classify_two_point(m([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
 
 
 def test_classification_stable_under_duality_roundtrip():
@@ -223,4 +232,10 @@ def test_render_band():
 def test_render_arity_check():
     D = cat_to_lcs(kcat([[0]]))
     with pytest.raises(ValueError):
+        render_region(D, 1)
+
+
+def test_render_needs_the_int_kind():
+    D = cat_to_lcs(kcat([[0, 1], [1, 0]], kind="real"))
+    with pytest.raises(ValueError, match="^rendering needs the integer scalar kind$"):
         render_region(D, 1)

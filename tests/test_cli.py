@@ -7,9 +7,12 @@ import pytest
 
 from lcdual import categories, classify, cli
 from lcdual.categories import enumerate_functors, validate_category
+from lcdual.lattices import law_violations
 from lcdual.cli import main
 from lcdual.docfiles import parse_document, to_category, to_lcs
 from lcdual.duality import enumerate_homs
+
+from test_lattices import _TwoHomNegatesTarget
 
 
 BAND_KCAT = """\
@@ -107,6 +110,8 @@ def test_member(write, capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["member", path, "--point", "v=0,w=2"]) == 1
     assert capsys.readouterr().out.strip() == "false"
+    assert main(["member", path, "--point", "v=0,w=1,"]) == 0  # empty chunks are skipped
+    assert capsys.readouterr().out.strip() == "true"
     two = write("two.lcx", TWOPOINTS_LCX)
     assert main(["member", two, "--point", "v=inf,w=inf"]) == 0
 
@@ -421,6 +426,15 @@ def test_leq_rejects_bad_map_specs(text, spec, message, write, capsys):
     assert message in capsys.readouterr().err
 
 
+# the swap breaks the increasing condition: d(v, w) is below d(w, v) in kbar
+@pytest.mark.parametrize("text,what", [(BAND_KCAT, "functor"), (HALFPLANE_LCX, "homomorphism")],
+                         ids=["kcategory", "lconvex"])
+def test_leq_rejects_a_map_that_is_not_increasing(text, what, write, capsys):
+    path = write("m.txt", text)
+    assert main(["leq", path, path, "--map", "v:v,w:w", "--map", "v:w,w:v"]) == 2
+    assert capsys.readouterr() == ("", "error: a map spec is not a %s\n" % what)
+
+
 @pytest.mark.parametrize("kind", sorted(MATRIX_CASES))
 def test_classify2(kind, write, capsys):
     good, broken, shape = MATRIX_CASES[kind]
@@ -430,6 +444,8 @@ def test_classify2(kind, write, capsys):
     assert "composition law" in capsys.readouterr().out
     assert main(["classify2", write("gens.gen", GENS_TEXT)]) == 2
     assert "expects a kcategory or lconvex file" in capsys.readouterr().err
+    assert main(["classify2", write("three.txt", _collapsed(kind, "uvw"))]) == 2
+    assert capsys.readouterr() == ("", "error: classify2 expects exactly two labels\n")
 
 
 @pytest.mark.parametrize("kind", sorted(MATRIX_CASES))
@@ -484,6 +500,14 @@ def test_laws(capsys):
     assert main(["laws", "nope"]) == 2
 
 
+def test_laws_prints_each_violation(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "get_lattice", lambda name: _TwoHomNegatesTarget())
+    want = law_violations(_TwoHomNegatesTarget(), 2)
+    assert want
+    assert main(["laws", "two", "--bound", "2"]) == 1
+    assert capsys.readouterr() == ("\n".join(want + ["violations: %d" % len(want)]) + "\n", "")
+
+
 def run_cli(*argv):
     """`python -m lcdual.cli` in a fresh process, importing this checkout's src/."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -532,7 +556,8 @@ def test_missing_file(capsys):
 
 def test_bound_must_be_nonnegative(write, capsys):
     path = write("band.lcx", BAND_LCX)
-    for argv in (["render", path, "--bound", "-2"], ["laws", "kbar", "--bound", "-1"]):
+    for argv in (["render", path, "--bound", "-2"], ["laws", "kbar", "--bound", "-1"],
+                 ["render", path, "--bound", "x"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -121,12 +121,43 @@ def test_emit_parse_roundtrip_fuzz(doc):
     ("kind: chart\n", 1, "unknown kind"),
     ("kind: lconvex\nscalar: int\nindex: v\nfoo: 1\n", 4, "unknown key"),
     ("kind: points\nscalar: int\nindex: v w\npoint: 1\n", 4, "coordinates"),
+    ("kind: lconvex\nscalar: int\nindex v w\n", 3, "expected 'key: value'"),
+    ("kind: lconvex\nkind: lconvex\n", 2, "duplicate kind header"),
+    ("kind: lconvex\nscalar: int\nscalar: real\n", 3, "duplicate scalar header"),
+    ("kind: lconvex\nscalar: complex\n", 2, "scalar must be 'int' or 'real'"),
+    ("kind: lconvex\nscalar: int\nindex: v\nindex: w\n", 4, "duplicate label list"),
+    # a body line needs the label list first, so a label list after one is a second one
+    ("kind: lconvex\nscalar: int\nindex: v\nd: v v 0\nindex: w\n", 5, "duplicate label list"),
+    ("scalar: int\nindex: v\n", 2, "label list before the kind header"),
+    ("kind: lconvex\nscalar: int\nindex:\n", 3, "empty label list"),
+    ("kind: lconvex\nscalar: int\nindex: v 2w\n", 3, "label '2w' is not an ASCII identifier"),
+    ("kind: lconvex\nindex: v\nd: v v 0\n", 3, "matrix entry before the headers"),
+    ("kind: points\nscalar: int\nindex: v\nd: v v 0\n", 4, "kind points has no matrix entries"),
+    ("kind: kcategory\nscalar: int\npoints: v\nd: v v 0\n", 4,
+     "kind kcategory uses 'hom' entries, not 'd'"),
+    ("kind: lconvex\nscalar: int\nindex: v\nd: v v\n", 4, "expected 'd: a b VALUE'"),
+    ("kind: points\nindex: v\npoint: 0\n", 3, "point line before the headers"),
+    ("kind: lconvex\nscalar: int\nindex: v\npoint: 0\n", 4, "kind lconvex has no point lines"),
+    ("kind: points\nscalar: int\nindex: v w\npoint: 0 1.5\n", 4, "bad integer scalar literal"),
+    ("kind: lconvex\nscalar: int\n", None, "missing label list"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, frag):
     with pytest.raises(DocumentError) as exc:
         parse_document(text)
     assert exc.value.line == line
     assert frag in str(exc.value)
+
+
+@pytest.mark.parametrize("convert", [to_category, to_lcs, to_constraints, to_generators])
+def test_converters_refuse_another_kind(convert):
+    want = {to_category: "a kcategory", to_lcs: "an lconvex",
+            to_constraints: "a constraints", to_generators: "a generators"}[convert]
+    other = GEN_TEXT if convert is not to_generators else LCX_TEXT
+    doc = parse_document(other)
+    with pytest.raises(DocumentError) as exc:
+        convert(doc)
+    assert str(exc.value) == "expected %s document, got kind %s" % (want, doc.kind)
+    assert exc.value.line is None
 
 
 def test_missing_entries_reported():

@@ -7,9 +7,10 @@ from math import isfinite
 
 import pytest
 
-from lcdual.scalars import NEG_INF, POS_INF, fin
+from lcdual.scalars import NEG_INF, POS_INF, TRUE, fin
+from lcdual.lattices import get_lattice
 from lcdual.categories import (
-    make_functor, identity_functor, enumerate_functors, canonical_leq,
+    VFunctor, make_category, make_functor, identity_functor, enumerate_functors, canonical_leq,
     is_presheaf, make_presheaf, opposite, validate_category, InvalidCategory,
 )
 from lcdual.lconvex import member, grid_members, canonical_points
@@ -37,6 +38,13 @@ def test_cat_to_lcs_examples():
 def test_cat_to_lcs_rejects_invalid():
     with pytest.raises(ValueError):
         cat_to_lcs(kcat([[0, 1], [-2, 0]]))
+
+
+def test_cat_to_lcs_needs_kbar():
+    C = make_category(get_lattice("two"), ("a",), [[TRUE]])
+    assert validate_category(C) == []
+    with pytest.raises(ValueError, match="^duality needs a category over kbar$"):
+        cat_to_lcs(C)
 
 
 def test_duality_raises_the_violations_with_the_category_message():
@@ -121,6 +129,13 @@ def test_functor_hom_correspondence():
         back = hom_to_functor(phi)
         assert tuple(back("pi_" + a) for a in A.objects) == \
             tuple("pi_" + F(a) for a in A.objects)
+
+
+def test_functor_to_hom_refuses_a_map_that_is_not_increasing():
+    A = kcat([[0, 1], [2, 0]])
+    swap = VFunctor(A, A, (1, 0))  # d(a, b) = 1 is below d(b, a) = 2 in kbar
+    with pytest.raises(ValueError, match="^functor does not satisfy the increasing condition$"):
+        functor_to_hom(swap)
 
 
 def test_identity_functor_to_hom():

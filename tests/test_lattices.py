@@ -96,11 +96,23 @@ class _TwoHomAlwaysTrue(TwoLattice):
         return TRUE
 
 
+class _TwoHomNegatesTarget(TwoLattice):
+    def hom(self, x, y):
+        return FALSE if y is TRUE else TRUE
+
+
+class _TwoHomIsSource(TwoLattice):
+    def hom(self, x, y):
+        return x
+
+
 @pytest.mark.parametrize("mutant, laws", [
     (_KbarInfMinusInf, ["adjointness fails"]),
     (_CartPlusAtOne, ["adjointness fails", "associativity fails", "commutativity fails"]),
     (_TwoHomAlwaysTrue, ["adjointness fails"]),
-], ids=["kbar-hom-inf-inf", "cart-plus-at-one", "two-hom-true"])
+    (_TwoHomNegatesTarget, ["hom not monotone in target", "hom(false, -) fails to preserve infs"]),
+    (_TwoHomIsSource, ["hom not antitone in source"]),
+], ids=["kbar-hom-inf-inf", "cart-plus-at-one", "two-hom-true", "two-hom-not-y", "two-hom-x"])
 def test_law_suite_catches_a_broken_law(mutant, laws):
     bad = law_violations(mutant(), bound=3)
     assert bad
@@ -175,7 +187,7 @@ def reference_law_violations(L, bound=3, max_subset=3):
 
 SUITE_LATTICES = [
     TwoLattice, KbarLattice, KbarPlusLattice, KbarPlusCartLattice,
-    _KbarInfMinusInf, _CartPlusAtOne, _TwoHomAlwaysTrue,
+    _KbarInfMinusInf, _CartPlusAtOne, _TwoHomAlwaysTrue, _TwoHomNegatesTarget, _TwoHomIsSource,
 ]
 
 
@@ -364,3 +376,5 @@ def test_real_kind_zeros_are_decimal(name):
 def test_unknown_lattice_rejected():
     with pytest.raises(ValueError):
         get_lattice("three")
+    with pytest.raises(ValueError, match="^scalar_kind must be 'int' or 'real'$"):
+        get_lattice("kbar", "complex")

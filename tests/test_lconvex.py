@@ -355,6 +355,8 @@ def test_weight_shift():
     shifted = weight_shift(pt(v=0, w=NINF), NEG_INF, "minus")
     assert shifted == pt(v=INF, w=NINF)
     assert weight_shift(pt(v=2, w=5), fin(3), "plus") == pt(v=5, w=8)
+    with pytest.raises(ValueError, match="^sign must be 'plus' or 'minus'$"):
+        weight_shift(pt(v=2, w=5), fin(3), "times")
 
 
 def test_point_sup_inf():

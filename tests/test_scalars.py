@@ -1,3 +1,5 @@
+import copy
+import pickle
 from decimal import Decimal
 
 import pytest
@@ -67,6 +69,13 @@ def test_bool_ops():
     assert two.hom(FALSE, TRUE) == TRUE
     assert two.tensor(TRUE, TRUE) == TRUE
     assert two.tensor(TRUE, FALSE) == FALSE
+
+
+@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+def test_truth_values_copy_to_themselves(how):
+    dup = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+           "copy": copy.copy, "deepcopy": copy.deepcopy}[how]
+    assert dup(TRUE) is TRUE and dup(FALSE) is FALSE
 
 
 def test_cart_ops():
