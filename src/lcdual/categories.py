@@ -26,6 +26,9 @@ class VCategory:
     hom: tuple  # tuple of tuples of lattice values, hom[i][j] = Hom(objects[i], objects[j])
 
     def __post_init__(self):
+        # tuples whatever came in, so ==, hash and comparisons with computed tuples hold
+        object.__setattr__(self, "objects", tuple(self.objects))
+        object.__setattr__(self, "hom", tuple(map(tuple, self.hom)))
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("object labels must be distinct")
         n = len(self.objects)
@@ -39,8 +42,7 @@ class VCategory:
         return self.hom[self._pos[a]][self._pos[b]]
 
 
-def make_category(lattice, objects, hom_rows):
-    return VCategory(lattice, tuple(objects), tuple(tuple(row) for row in hom_rows))
+make_category = VCategory
 
 
 def validate_category(C):
@@ -81,9 +83,7 @@ def require_category(*cats):
 
 def opposite(C):
     """Transpose the hom matrix."""
-    n = len(C.objects)
-    return VCategory(C.lattice, C.objects,
-                     tuple(tuple(C.hom[j][i] for j in range(n)) for i in range(n)))
+    return VCategory(C.lattice, C.objects, zip(*C.hom))
 
 
 _BAD_POSITIONS = "a functor needs one codomain index per domain object"
@@ -284,8 +284,7 @@ def self_enrichment(L, carrier):
     labels = tuple(format_scalar(x) for x in carrier)
     if len(set(labels)) != len(labels):
         raise ValueError("carrier values must be distinct")
-    hom = tuple(tuple(L.hom(x, y) for y in carrier) for x in carrier)
-    return VCategory(L, labels, hom)
+    return VCategory(L, labels, [[L.hom(x, y) for y in carrier] for x in carrier])
 
 
 @dataclass(frozen=True)
@@ -294,6 +293,7 @@ class Presheaf:
     values: tuple  # values[i]: the lattice value at base.objects[i]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != len(self.base.objects):
             raise ValueError("a presheaf needs one value per base object")
         if not all(self.base.lattice.contains(x) for x in self.values):

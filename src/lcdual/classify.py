@@ -58,11 +58,10 @@ def _flat(m):
 
 def classify_two_point(m, scalar_kind="int"):
     """Classify a 2x2 matrix; returns a TwoPointShape, or None if invalid."""
-    m = tuple(tuple(row) for row in m)
     if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ValueError("expected a 2x2 matrix")
     cat = VCategory(get_lattice("kbar", scalar_kind), ("v", "w"), m)
-    return None if validate_category(cat) else two_point_shape(m)
+    return None if validate_category(cat) else two_point_shape(cat.hom)
 
 
 def two_point_shape(m):

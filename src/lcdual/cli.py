@@ -1,5 +1,9 @@
 """Command-line interface.
 
+`COMMANDS` declares each command once: its help, its files with the kinds
+each accepts, and its other arguments.  `main` loads the files before the
+command runs, so a command computes on values.
+
 Exit codes: 0 success / predicate true, 1 predicate false or invalid
 input object (with a report), 2 malformed input, 3 internal error.
 A command returns 0 or 1 for its predicate; `main` turns what it raises
@@ -23,7 +27,7 @@ from . import docfiles
 from .docfiles import DocumentError
 
 
-def _load(path, command, *kinds):
+def _load(path, command, kinds):
     """The file at path as the domain value of its kind, one of the kinds command accepts."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -78,40 +82,39 @@ def _bound(text):
     return bound
 
 
-def cmd_validate(args):
-    require_category(_load(args.file, "validate", "kcategory", "lconvex"))
+def _verdict(ok, prefix=""):
+    """Print prefix and true or false; the exit code of that answer."""
+    print(prefix + ("true" if ok else "false"))
+    return 0 if ok else 1
+
+
+def _emit(doc):
+    sys.stdout.write(docfiles.emit_document(doc))
+    return 0
+
+
+def cmd_validate(args, C):
+    require_category(C)
     print("valid")
     return 0
 
 
-def cmd_dual(args):
-    X = _load(args.file, "dual", "kcategory", "lconvex")
+def cmd_dual(args, X):
     if isinstance(X, LConvexSet):
-        out = docfiles.from_category(lcs_to_cat(X))
-    else:
-        out = docfiles.from_lcs(cat_to_lcs(X))
-    sys.stdout.write(docfiles.emit_document(out))
-    return 0
+        return _emit(docfiles.from_category(lcs_to_cat(X)))
+    return _emit(docfiles.from_lcs(cat_to_lcs(X)))
 
 
-def cmd_member(args):
-    D = _load(args.file, "member", "lconvex")
-    p = _parse_point_spec(args.point, D.index, D.scalar_kind)
-    ok = member(D, p)
-    print("true" if ok else "false")
-    return 0 if ok else 1
+def cmd_member(args, D):
+    return _verdict(member(D, _parse_point_spec(args.point, D.index, D.scalar_kind)))
 
 
-def cmd_closure(args):
-    D = closure(_load(args.file, "closure", "constraints", "lconvex"))
-    sys.stdout.write(docfiles.emit_document(docfiles.from_lcs(D)))
-    return 0
+def cmd_closure(args, c):
+    return _emit(docfiles.from_lcs(closure(c)))
 
 
-def cmd_hull(args):
-    D = from_generators(_load(args.file, "hull", "generators", "points"))
-    sys.stdout.write(docfiles.emit_document(docfiles.from_lcs(D)))
-    return 0
+def cmd_hull(args, S):
+    return _emit(docfiles.from_lcs(from_generators(S)))
 
 
 def _print_maps(maps):
@@ -122,23 +125,17 @@ def _print_maps(maps):
     return 0
 
 
-def cmd_functors(args):
-    A = _load(args.domain, "functors", "kcategory")
-    B = _load(args.codomain, "functors", "kcategory")
+def cmd_functors(args, A, B):
     require_category(A, B)
     return _print_maps([F.object_map for F in enumerate_functors(A, B)])
 
 
-def cmd_homs(args):
-    D = _load(args.domain, "homs", "lconvex")
-    E = _load(args.codomain, "homs", "lconvex")
+def cmd_homs(args, D, E):
     require_category(D, E)
     return _print_maps([F.object_map for F in enumerate_homs(D, E)])
 
 
-def cmd_leq(args):
-    dom = _load(args.domain, "leq", "kcategory", "lconvex")
-    cod = _load(args.codomain, "leq", "kcategory", "lconvex")
+def cmd_leq(args, dom, cod):
     if len(args.map) != 2:
         raise DocumentError("leq needs exactly two --map specs")
     m1, m2 = (_parse_spec(s, ":", "map entry", "from:to") for s in args.map)
@@ -154,14 +151,12 @@ def cmd_leq(args):
     if not is_functor(F) or not is_functor(G):
         raise DocumentError("a map spec is not a %s" % what)
     require_category(dom, cod)
-    forward, backward = canonical_leq(F, G), canonical_leq(G, F)
-    print("forward: %s" % ("true" if forward else "false"))
-    print("backward: %s" % ("true" if backward else "false"))
-    return 0 if forward else 1
+    code = _verdict(canonical_leq(F, G), "forward: ")
+    _verdict(canonical_leq(G, F), "backward: ")
+    return code
 
 
-def cmd_classify2(args):
-    C = _load(args.file, "classify2", "kcategory", "lconvex")
+def cmd_classify2(args, C):
     if len(C.objects) != 2:
         raise DocumentError("classify2 expects exactly two labels")
     require_category(C)
@@ -169,16 +164,13 @@ def cmd_classify2(args):
     return 0
 
 
-def cmd_yoneda_check(args):
-    C = _load(args.file, "yoneda-check", "kcategory")
+def cmd_yoneda_check(args, C):
     require_category(C)
-    ok = verify_yoneda(C)
-    print("true" if ok else "false")
-    return 0 if ok else 1
+    return _verdict(verify_yoneda(C))
 
 
-def cmd_render(args):
-    print(render_region(_load(args.file, "render", "lconvex"), args.bound))
+def cmd_render(args, D):
+    print(render_region(D, args.bound))
     return 0
 
 
@@ -190,76 +182,55 @@ def cmd_laws(args):
     return 0 if not bad else 1
 
 
+_MATRIX, _LCX, _KCAT = ("kcategory", "lconvex"), ("lconvex",), ("kcategory",)
+_BOUND = ("--bound", dict(type=_bound, default=3))
+
+# name: (command, help, {file argument: the kinds it accepts}, other arguments);
+# main loads the files in this order and calls command(args, *their values)
+COMMANDS = {
+    "validate": (cmd_validate, "check the category / L-convex laws", dict(file=_MATRIX), ()),
+    "dual": (cmd_dual, "convert between kcategory and lconvex", dict(file=_MATRIX), ()),
+    "member": (cmd_member, "test membership of a point", dict(file=_LCX),
+               [("--point", dict(required=True, help="label=value,label=value,..."))]),
+    "closure": (cmd_closure, "close raw difference constraints",
+                dict(file=("constraints", "lconvex")), ()),
+    "hull": (cmd_hull, "smallest L-convex set containing generators",
+             dict(file=("generators", "points")), ()),
+    "functors": (cmd_functors, "enumerate functors between two categories",
+                 dict(domain=_KCAT, codomain=_KCAT), ()),
+    "homs": (cmd_homs, "enumerate homomorphisms between two L-convex sets",
+             dict(domain=_LCX, codomain=_LCX), ()),
+    "leq": (cmd_leq, "canonical ordering between two maps", dict(domain=_MATRIX, codomain=_MATRIX),
+            [("--map", dict(action="append", default=[],
+                            help="from:to,from:to (give exactly twice)"))]),
+    "classify2": (cmd_classify2, "classify a two-point matrix", dict(file=_MATRIX), ()),
+    "yoneda-check": (cmd_yoneda_check, "verify the embedding equalities", dict(file=_KCAT), ()),
+    "render": (cmd_render, "text picture of a two-index set", dict(file=_LCX), [_BOUND]),
+    "laws": (cmd_laws, "run the lattice law suite", {},
+             [("lattice", dict(help="two | kbar | kbar_plus | kbar_plus_cart")), _BOUND]),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lcdual",
         description="Generalized metric spaces, L-convex sets, and their duality.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the category / L-convex laws")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("dual", help="convert between kcategory and lconvex")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("member", help="test membership of a point")
-    p.add_argument("file")
-    p.add_argument("--point", required=True, help="label=value,label=value,...")
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("closure", help="close raw difference constraints")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("hull", help="smallest L-convex set containing generators")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_hull)
-
-    p = sub.add_parser("functors", help="enumerate functors between two categories")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.set_defaults(func=cmd_functors)
-
-    p = sub.add_parser("homs", help="enumerate homomorphisms between two L-convex sets")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.set_defaults(func=cmd_homs)
-
-    p = sub.add_parser("leq", help="canonical ordering between two maps")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("--map", action="append", default=[],
-                   help="from:to,from:to (give exactly twice)")
-    p.set_defaults(func=cmd_leq)
-
-    p = sub.add_parser("classify2", help="classify a two-point matrix")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classify2)
-
-    p = sub.add_parser("yoneda-check", help="verify the embedding equalities")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_yoneda_check)
-
-    p = sub.add_parser("render", help="text picture of a two-index set")
-    p.add_argument("file")
-    p.add_argument("--bound", type=_bound, default=3)
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("laws", help="run the lattice law suite")
-    p.add_argument("lattice", help="two | kbar | kbar_plus | kbar_plus_cart")
-    p.add_argument("--bound", type=_bound, default=3)
-    p.set_defaults(func=cmd_laws)
-
+    for name, (_, summary, files, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for dest in files:
+            p.add_argument(dest)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command, _, files, _ = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command(args, *[_load(getattr(args, dest), args.command, kinds)
+                               for dest, kinds in files.items()])
     except InvalidCategory as exc:
         print("\n".join(exc.violations))
         return 1

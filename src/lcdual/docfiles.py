@@ -176,13 +176,13 @@ def to_category(doc):
 def to_lcs(doc):
     if doc.kind != "lconvex":
         raise DocumentError("expected an lconvex document, got kind %s" % doc.kind)
-    return LConvexSet(doc.scalar, doc.labels, doc.matrix)
+    return LConvexSet(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
 
 
 def to_constraints(doc):
     if doc.kind not in ("constraints", "lconvex"):
         raise DocumentError("expected a constraints document, got kind %s" % doc.kind)
-    return LConvexSet(doc.scalar, doc.labels, doc.matrix)
+    return LConvexSet(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
 
 
 def to_generators(doc):

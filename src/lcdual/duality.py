@@ -42,7 +42,7 @@ def _require_valid_category(A):
 def cat_to_lcs(A):
     """Members of the result are exactly the nonexpansive maps A -> kbar."""
     _require_valid_category(A)
-    return LConvexSet(A.lattice.scalar_kind, A.objects, A.hom)
+    return LConvexSet(A.lattice, A.objects, A.hom)
 
 
 def lcs_to_cat(D):

@@ -24,8 +24,10 @@ from .categories import VCategory, validate_category, self_enrichment, residuals
 class LConvexSet(VCategory):
     """A dbm is a category over kbar; index, dbm and bound are its L-convex names."""
 
-    def __init__(self, scalar_kind, index, dbm):
-        super().__init__(get_lattice("kbar", scalar_kind), index, dbm)
+    def __post_init__(self):
+        if self.lattice.name != "kbar":
+            raise ValueError("an L-convex set needs the kbar lattice, not %r" % self.lattice)
+        super().__post_init__()
 
     scalar_kind = property(lambda self: self.lattice.scalar_kind)
     index = property(lambda self: self.objects)
@@ -43,7 +45,7 @@ class GeneratorSet:
 
 
 def make_lcs(index, rows, scalar_kind="int"):
-    return LConvexSet(scalar_kind, tuple(index), tuple(tuple(r) for r in rows))
+    return LConvexSet(get_lattice("kbar", scalar_kind), index, rows)
 
 
 validate_lcs = validate_category
@@ -75,7 +77,7 @@ def from_generators(S):
     n = len(S.index)
     _check_arity(S.points, n)
     L, coords = get_lattice("kbar", S.scalar_kind), [[p[v] for p in S.points] for v in range(n)]
-    return LConvexSet(S.scalar_kind, tuple(S.index), residuals(L, coords))
+    return LConvexSet(L, S.index, residuals(L, coords))
 
 
 _PASS_NINF = Decimal("-Infinity")
@@ -121,8 +123,8 @@ def closure(c):
                 for j in range(n):
                     if d[v][j] != INF:
                         row[j] = NINF
-    rows = tuple(tuple(NINF if x == NINF else x for x in row) for row in d)
-    return LConvexSet(c.lattice.scalar_kind, tuple(c.objects), rows)
+    rows = [[NINF if x == NINF else x for x in row] for row in d]
+    return LConvexSet(get_lattice("kbar", c.lattice.scalar_kind), c.objects, rows)
 
 
 def weight_shift(p, alpha, sign="plus"):

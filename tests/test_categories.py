@@ -9,7 +9,7 @@ import pytest
 from lcdual.lattices import get_lattice
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
 from lcdual.categories import (
-    VFunctor, Presheaf, make_category, make_functor, identity_functor, make_presheaf,
+    VCategory, VFunctor, Presheaf, make_category, make_functor, identity_functor, make_presheaf,
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
     compose_functors, functor_hom, canonical_leq, enumerate_functors,
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
@@ -43,6 +43,18 @@ def test_require_category_reports_each_distinct_input_in_order():
     assert exc.value.violations == want
     assert str(exc.value) == "not a valid category: " + "; ".join(want)
     assert isinstance(exc.value, ValueError)
+
+
+def test_a_category_built_from_lists_is_its_tuple_twin():
+    L = get_lattice("kbar")
+    C = VCategory(L, ["a", "b"], [[0, 1], [2, 0]])
+    twin = make_category(L, ("a", "b"), ((0, 1), (2, 0)))
+    assert validate_category(C) == []
+    assert (C.objects, C.hom) == (("a", "b"), ((0, 1), (2, 0)))
+    assert verify_yoneda(C)
+    assert C == twin and hash(C) == hash(twin)
+    p = Presheaf(C, [1, 0])
+    assert p.values == (1, 0) and p == yoneda(C, "b") and hash(p) == hash(yoneda(C, "b"))
 
 
 def test_opposite():

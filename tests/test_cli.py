@@ -570,3 +570,38 @@ def test_internal_error_exits_3(write, capsys, monkeypatch):
     monkeypatch.setattr(cli, "require_category", broken)
     assert main(["validate", write("band.kcat", BAND_KCAT)]) == 3
     assert "internal error: broken check" in capsys.readouterr().err
+
+
+USAGES = {
+    None: "usage: lcdual [-h] {validate,dual,member,closure,hull,functors,homs,leq,classify2,"
+          "yoneda-check,render,laws} ...",
+    "validate": "usage: lcdual validate [-h] file",
+    "dual": "usage: lcdual dual [-h] file",
+    "member": "usage: lcdual member [-h] --point POINT file",
+    "closure": "usage: lcdual closure [-h] file",
+    "hull": "usage: lcdual hull [-h] file",
+    "functors": "usage: lcdual functors [-h] domain codomain",
+    "homs": "usage: lcdual homs [-h] domain codomain",
+    "leq": "usage: lcdual leq [-h] [--map MAP] domain codomain",
+    "classify2": "usage: lcdual classify2 [-h] file",
+    "yoneda-check": "usage: lcdual yoneda-check [-h] file",
+    "render": "usage: lcdual render [-h] [--bound BOUND] file",
+    "laws": "usage: lcdual laws [-h] [--bound BOUND] lattice",
+}
+
+
+@pytest.mark.parametrize("command", list(USAGES))
+def test_usage_line(command, capsys, monkeypatch):
+    # wide enough that no usage line wraps
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"] if command else ["-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == USAGES[command] and err == ""
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert [line.split()[1] for line in block.splitlines()] == list(cli.COMMANDS)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from decimal import Decimal
 from itertools import permutations, product
@@ -59,6 +60,17 @@ def test_lcs_equality_and_hash():
     assert D != A and A != D
     E = lcs([[0, 1], [1, 0]])
     assert D == E and hash(D) == hash(E)
+
+
+def test_lcs_takes_the_category_fields():
+    D = lcs([[0, 1], [1, 0]])
+    assert dataclasses.replace(D) == D
+    E = dataclasses.replace(D, hom=[[fin(0), fin(2)], [fin(1), fin(0)]])
+    assert isinstance(E, LConvexSet) and E.dbm == ((0, 2), (1, 0)) and E.index == D.index
+    for name in ("two", "kbar_plus", "kbar_plus_cart"):
+        L = get_lattice(name)
+        with pytest.raises(ValueError, match="^an L-convex set needs the kbar lattice, not "):
+            LConvexSet(L, ("v",), ((L.unit,),))
 
 
 def test_lcs_shape_checks():
@@ -138,7 +150,7 @@ def reference_from_generators(S):
     inf = get_lattice("kbar", S.scalar_kind).inf
     rows = tuple(tuple(inf([ext_sub(p[w], p[v]) for p in S.points]) for w in range(n))
                  for v in range(n))
-    return LConvexSet(S.scalar_kind, tuple(S.index), rows)
+    return LConvexSet(get_lattice("kbar", S.scalar_kind), S.index, rows)
 
 
 HULL_COORDS = {
@@ -458,7 +470,7 @@ def test_grid_members_whole_plane():
 
 
 def test_grid_members_rejects_real_kind():
-    D = LConvexSet("real", ("v",), ((Decimal("0.0"),),))
+    D = LConvexSet(get_lattice("kbar", "real"), ("v",), ((Decimal("0.0"),),))
     with pytest.raises(ValueError):
         grid_members(D)
 
