@@ -12,7 +12,8 @@ views are read off these tuples.
 """
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from collections import deque
+from itertools import compress, repeat
 from operator import eq
 
 from .scalars import format_scalar
@@ -97,11 +98,11 @@ class VFunctor:
 
     def __init__(self, domain, codomain, positions):
         # Written out, unlike the generated __init__ and __post_init__ that
-        # VCategory, Presheaf and LConvexSet keep (a request builds O(1)-O(n)
-        # of those): this runs on every search result.  The check is a plain
-        # loop, not all() over a generator, and the fields go straight into
-        # their slots, past the frozen __setattr__, instead of through three
-        # object.__setattr__ calls and a __post_init__ call.
+        # VCategory, Presheaf and LConvexSet keep: the check is a plain loop,
+        # and the fields go straight into their slots, past the frozen
+        # __setattr__.  VFunctor(...), make_functor, compose_functors and
+        # dataclasses.replace come through here; a search builds its results
+        # in bulk in _functors, under the same check and the same setters.
         n = len(codomain.objects)
         if len(positions) != len(domain.objects):
             raise ValueError(_BAD_POSITIONS)
@@ -152,8 +153,11 @@ def _increasing(src, dst, rel, c):
 
 def _index_maps(src, dst, leq):
     """Every index map c that passes the increasing condition, lexicographic,
-    yielded one level at a time: each level is a non-empty iterable of the
-    maps that share all but their last position.
+    yielded one level at a time: a level is a pair (prefix, tails), the
+    positions of every object but the last and the last object's values as
+    1-tuples in ascending order, so its maps are prefix + t for t in tails.
+    Every level has at least one tail; an empty src has the one level
+    ((), ((),)).
 
     Depth-first search with forward checking (Haralick & Elliott 1980) over
     bitmask domains (Ullmann 1976): objects are assigned in src order,
@@ -161,13 +165,14 @@ def _index_maps(src, dst, leq):
     object's domain with one AND to the values compatible with it both ways;
     an empty domain cuts the branch.  Once every object but the last is
     assigned, each value left in the last object's domain completes a map,
-    so that level is handed over whole and lazily.  An empty src has the one
-    level ((),).  leq runs only to tabulate, once per distinct src value and
-    dst entry: at most len(set(src values)) * |dst|^2 calls.
+    so that level is handed over whole; its tails tuple is built once per
+    distinct last-object mask and shared by every level with that mask.
+    leq runs only to tabulate, once per distinct src value and dst entry:
+    at most len(set(src values)) * |dst|^2 calls.
     """
     n = len(src)
     if n == 0:
-        yield ((),)
+        yield (), ((),)
         return
     powers = [1 << y for y in range(len(dst))]
     rows, cols, firsts = {}, {}, {}
@@ -194,7 +199,7 @@ def _index_maps(src, dst, leq):
 
     if last == 0:
         if domains[0][0]:
-            yield values(domains[0][0])
+            yield (), values(domains[0][0])
         return
     c = [0] * last
     to_last = both[last - 1][-1]
@@ -212,7 +217,7 @@ def _index_maps(src, dst, leq):
         if i == last - 1:
             tail = domains[i][last] & to_last[x]
             if tail:
-                yield map(tuple(c).__add__, values(tail))
+                yield tuple(c), values(tail)
             continue
         narrowed = domains[i][:]
         for k, step in enumerate(both[i], i + 1):
@@ -265,8 +270,44 @@ def _check_parallel(F, G):
 
 def enumerate_functors(A, B):
     """All functors A -> B, lexicographic in B's object order."""
-    levels = _index_maps(A.hom, B.hom, A.lattice.leq)
-    return list(map(VFunctor, repeat(A), repeat(B), chain.from_iterable(levels)))
+    return _functors(A, B, _index_maps(A.hom, B.hom, A.lattice.leq))
+
+
+def _functors(domain, codomain, levels):
+    """The VFunctors domain -> codomain of the index maps in levels, in order.
+
+    Each level (prefix, tails) of _index_maps is checked whole against
+    VFunctor.__init__'s rule: the prefix once per level, each tails tuple
+    once per distinct tuple.  A tails tuple is remembered by value, and an
+    equal tuple that is not the one checked is checked again, since (True,)
+    and (1.0,) equal (1,).  The results are then built in C-level passes
+    over the flat list of positions, with no Python call per result.
+    """
+    m = len(codomain.objects)
+    width = min(len(domain.objects), 1)  # every map's last position, or none
+    head = len(domain.objects) - width
+    checked = {}  # tails -> the tails tuple that passed the check
+    ps = []
+    for prefix, tails in levels:
+        if len(prefix) != head:
+            raise ValueError(_BAD_POSITIONS)
+        for j in prefix:
+            if type(j) is not int or not 0 <= j < m:
+                raise ValueError(_BAD_POSITIONS)
+        if checked.get(tails) is not tails:
+            for t in tails:
+                if len(t) != width:
+                    raise ValueError(_BAD_POSITIONS)
+                for j in t:
+                    if type(j) is not int or not 0 <= j < m:
+                        raise ValueError(_BAD_POSITIONS)
+            checked[tails] = tails
+        ps += map(prefix.__add__, tails)
+    objs = list(map(object.__new__, repeat(VFunctor, len(ps))))
+    deque(map(_set_domain, objs, repeat(domain)), 0)
+    deque(map(_set_codomain, objs, repeat(codomain)), 0)
+    deque(map(_set_positions, objs, ps), 0)
+    return objs
 
 
 def residuals(L, rows):

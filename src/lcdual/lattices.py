@@ -33,8 +33,10 @@ class EnrichingLattice:
     _floor = POS_INF
 
     def _checked(self, xs):
-        """xs as a list, each member checked to lie in the carrier."""
-        xs = list(xs)
+        """xs as a tuple or list, each member checked to lie in the carrier;
+        a tuple is checked in place, anything else is listed once first."""
+        if type(xs) is not tuple:
+            xs = list(xs)
         contains, floor = self.contains, self._floor
         for x in xs:
             # True is no int by type, so it still goes to contains, which refuses it

@@ -14,7 +14,6 @@ without changing the feasible set.
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from itertools import chain
 
 from .scalars import EXACT, NEG_INF, POS_INF, ext_add, ext_sub
 from .lattices import get_lattice
@@ -173,4 +172,5 @@ def grid_members(D, bound=3):
     # p is one iff dbm[v][w] is below hom(p(v), p(w)) in kbar
     L, grid = D.lattice, D.lattice.carrier_grid(bound)
     levels = _index_maps(D.dbm, self_enrichment(L, grid).hom, L.leq)
-    return [tuple(map(grid.__getitem__, c)) for c in chain.from_iterable(levels)]
+    return [tuple(map(grid.__getitem__, c))
+            for prefix, tails in levels for c in map(prefix.__add__, tails)]

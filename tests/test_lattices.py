@@ -281,8 +281,8 @@ def test_sup_inf_refuse_terms_outside_the_carrier(name, kind):
     for bad in _outside(name, kind):
         assert not L.contains(bad), bad
         for op in (L.sup, L.inf):
-            # alone, after carrier terms, and from an iterator as the law suite passes them
-            for xs in ([bad], ok + [bad], iter([bad] + ok)):
+            # alone, after carrier terms, as a tuple, and from an iterator as the law suite passes them
+            for xs in ([bad], ok + [bad], tuple(ok) + (bad,), iter([bad] + ok)):
                 with pytest.raises(ValueError) as err:
                     op(xs)
                 assert str(err.value) == "outside carrier: %s" % format_scalar(bad)
@@ -297,8 +297,10 @@ def test_sup_inf_keep_values_and_payload_types(name, kind):
         assert got == want and type(got) is type(want)
     if kind == "real":  # a real carrier holds int and Decimal payloads; the first extreme wins
         for xs in ([Decimal(1), 1, POS_INF], [1, Decimal(1), POS_INF], [POS_INF, 2, Decimal(2)]):
-            for got, want in ((L.sup(xs), min(xs)), (L.inf(xs), max(xs))):
-                assert got == want and type(got) is type(want), xs
+            # a tuple is checked in place, a one-shot iterator listed once first
+            for shape in (list, tuple, iter, lambda ys: (y for y in ys)):
+                for got, want in ((L.sup(shape(xs)), min(xs)), (L.inf(shape(xs)), max(xs))):
+                    assert got == want and type(got) is type(want), xs
 
 
 @pytest.mark.parametrize("kind", ["int", "real"])
@@ -315,7 +317,8 @@ def test_tensor_hom_refuse_operands_outside_the_carrier(name, kind):
     for bad in outside:
         assert not L.contains(bad), bad
         for op in (L.tensor, L.hom):
-            for x, y in [(bad, g) for g in grid] + [(g, bad) for g in grid]:
+            # with both operands outside, the first is named
+            for x, y in [(bad, g) for g in grid] + [(g, bad) for g in grid] + [(bad, b) for b in outside]:
                 with pytest.raises(ValueError) as err:
                     op(x, y)
                 assert str(err.value) == "outside carrier: %s" % format_scalar(bad)

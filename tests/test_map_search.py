@@ -10,6 +10,9 @@ target entry, and the same test pins the search's levels: non-empty, each
 a run of maps that differ only in their last position.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import product
 from math import isfinite
@@ -17,6 +20,7 @@ from math import isfinite
 import pytest
 
 from lcdual.lattices import get_lattice
+from lcdual import categories
 from lcdual.categories import VFunctor, make_category, enumerate_functors, _index_maps
 from lcdual.scalars import POS_INF, fin
 from lcdual.lconvex import (
@@ -155,11 +159,18 @@ def test_search_work_is_bounded_by_the_condition_table(lattice):
             calls.append(1)
             return L.leq(s, d)
 
-        levels = [list(level) for level in _index_maps(A.hom, B.hom, leq)]
-        for level in levels:
-            assert level
-            assert len({c[:-1] for c in level}) == 1
-        got = [c for level in levels for c in level]
+        levels = list(_index_maps(A.hom, B.hom, leq))
+        got = []
+        for prefix, tails in levels:
+            assert tails
+            if A.objects:
+                assert len(prefix) == len(A.objects) - 1
+                assert all(len(t) == 1 for t in tails)
+                assert list(tails) == sorted(set(tails))
+            else:
+                assert (prefix, tails) == ((), ((),))
+            got += [prefix + t for t in tails]
+        assert len(levels) == len({prefix for prefix, _ in levels})
         assert [tuple(B.objects[j] for j in c) for c in got] == oracle_functors(A, B)
         assert len(calls) <= len({v for row in A.hom for v in row}) * len(B.objects) ** 2
 
@@ -188,20 +199,72 @@ def test_five_to_six_searches_match_oracle(kind):
         assert len(want) == 6 ** 5
 
 
-def test_every_search_result_is_checked(monkeypatch):
-    # the positions check lives in VFunctor.__init__, so every result must pass through it
-    calls = []
-    init = VFunctor.__init__
+# bad entries, for a prefix position or a tail value: out of range, negative, True, 1.0
+BAD_ENTRIES = [6, -1, True, 1.0]
 
-    def counted(self, domain, codomain, positions):
-        calls.append(positions)
-        init(self, domain, codomain, positions)
 
-    monkeypatch.setattr(VFunctor, "__init__", counted)
-    A, B = five_to_six("collapsed")
-    assert len(enumerate_functors(A, B)) == len(calls) == 6 ** 5
-    calls.clear()
-    assert len(enumerate_homs(cat_to_lcs(B), cat_to_lcs(A))) == len(calls) == 6 ** 5
+def _bad_levels(levels):
+    """Each way to spoil one level of levels, at the first, a middle and the last level."""
+    for where in (0, len(levels) // 2, len(levels) - 1):
+        prefix, tails = levels[where]
+        # the tail (1,) where there is one: spoiled by True or 1.0, the level
+        # still equals the one the search emits, by value
+        k = tails.index((1,)) if (1,) in tails else len(tails) - 1
+        spoiled = [(prefix[:-1] + (bad,), tails) for bad in BAD_ENTRIES]
+        spoiled += [(prefix, tails[:k] + ((bad,),) + tails[k + 1:]) for bad in BAD_ENTRIES]
+        spoiled += [(prefix[:-1], tails), (prefix + (0,), tails),  # short and long prefix
+                    (prefix, tails[:1] + ((0, 0),) + tails[1:])]  # a 2-tuple tail
+        for level in spoiled:
+            yield levels[:where] + [level] + levels[where + 1:]
+
+
+@pytest.mark.parametrize("kind", ["collapsed", "sparse-1"])
+def test_every_search_result_is_checked(monkeypatch, kind):
+    # the check sits in _functors, not in the search: a search that emits a
+    # bad position anywhere is refused by both enumerators, never returned
+    A, B = five_to_six(kind)
+    levels = list(_index_maps(A.hom, B.hom, A.lattice.leq))
+    assert len(levels) >= 3
+    DB, EA = cat_to_lcs(B), cat_to_lcs(A)
+    cases = 0
+    for spoiled in _bad_levels(levels):
+        monkeypatch.setattr(categories, "_index_maps", lambda *args, spoiled=spoiled: iter(spoiled))
+        for search in (lambda: enumerate_functors(A, B), lambda: enumerate_homs(DB, EA)):
+            with pytest.raises(ValueError, match="^a functor needs one codomain index per domain object$"):
+                search()
+            cases += 1
+    assert cases == 3 * 11 * 2
+
+
+def _bulk_built_cases():
+    for kind in ("collapsed", "sparse-1"):
+        yield five_to_six(kind)
+    rng = random.Random("bulk")
+    for lattice in LATTICES:
+        L = get_lattice(lattice)
+        for n in (0, 1, 2):
+            for _ in range(5):
+                yield (random_category(rng, L, n, ("a", "b")),
+                       random_category(rng, L, rng.randint(1, 4), "wxyz"))
+
+
+def test_bulk_built_functors_equal_constructed_ones():
+    # a search builds its results past VFunctor.__init__; they must be the
+    # same objects in every observable way
+    names = [f.name for f in dataclasses.fields(VFunctor)]
+    total = 0
+    for A, B in _bulk_built_cases():
+        fs = enumerate_functors(A, B)
+        for F in fs:
+            G = VFunctor(F.domain, F.codomain, F.positions)
+            assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
+            assert copy.copy(F) == F
+            assert all(hasattr(F, name) for name in names)
+            assert (F.domain, F.codomain) == (A, B)
+        assert pickle.loads(pickle.dumps(fs)) == fs
+        assert copy.deepcopy(fs) == fs
+        total += len(fs)
+    assert total > 6 ** 5
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
