@@ -35,8 +35,8 @@ class VCategory:
         n = len(self.objects)
         if len(self.hom) != n or any(len(row) != n for row in self.hom):
             raise ValueError("hom matrix shape does not match the object list")
-        if not all(self.lattice.contains(x) for row in self.hom for x in row):
-            raise ValueError("hom entry outside the %r carrier" % self.lattice)
+        for row in self.hom:
+            self.lattice._checked(row)
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(self.objects)})
 
     def hom_at(self, a, b):
@@ -47,7 +47,8 @@ make_category = VCategory
 
 
 def validate_category(C):
-    """List of violated-law descriptions; empty iff C is a category."""
+    """List of violated-law descriptions; empty iff C is a category.  The
+    triple loop runs the raw tensor on entries C checked when it was built."""
     L = C.lattice
     bad = []
     for a in C.objects:
@@ -57,7 +58,7 @@ def validate_category(C):
     for a in C.objects:
         for b in C.objects:
             for c in C.objects:
-                lhs = L.tensor(C.hom_at(a, b), C.hom_at(b, c))
+                lhs = L._tensor(C.hom_at(a, b), C.hom_at(b, c))
                 rhs = C.hom_at(a, c)
                 if not L.leq(lhs, rhs):
                     bad.append(
@@ -111,7 +112,7 @@ class VFunctor:
                 raise ValueError(_BAD_POSITIONS)
         _set_domain(self, domain)
         _set_codomain(self, codomain)
-        _set_positions(self, positions)
+        _set_positions(self, tuple(positions))
 
     @property
     def object_map(self):
@@ -314,8 +315,9 @@ def residuals(L, rows):
     """R[i][j] = inf over c of hom_L(rows[i][c], rows[j][c]), the presheaf
     distance between rows i and j.  By the enriched Yoneda lemma a square
     matrix M is the hom of a category iff residuals(L, M) is its transpose.
+    The raw hom runs on the entries, and inf checks every result.
     """
-    hom, inf = L.hom, L.inf
+    hom, inf = L._hom, L.inf
     return tuple(tuple(inf(map(hom, r, s)) for s in rows) for r in rows)
 
 
@@ -337,8 +339,7 @@ class Presheaf:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != len(self.base.objects):
             raise ValueError("a presheaf needs one value per base object")
-        if not all(self.base.lattice.contains(x) for x in self.values):
-            raise ValueError("presheaf value outside the %r carrier" % self.base.lattice)
+        self.base.lattice._checked(self.values)
 
     def __call__(self, a):
         return self.values[self.base._pos[a]]
@@ -351,7 +352,7 @@ def make_presheaf(base, mapping):
 def is_presheaf(p):
     """Contravariant nonexpansiveness: hom(a,b) below hom_L(p(b), p(a))."""
     L, v = p.base.lattice, p.values
-    return all(L.leq(h, L.hom(vb, va)) for row, va in zip(p.base.hom, v) for h, vb in zip(row, v))
+    return all(L.leq(h, L._hom(vb, va)) for row, va in zip(p.base.hom, v) for h, vb in zip(row, v))
 
 
 def presheaf_dist(p1, p2):

@@ -18,8 +18,9 @@ from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_sca
 
 class EnrichingLattice:
     """Shared machinery.  Each lattice defines contains(x), leq(x, y) (the
-    order, x below y), tensor(x, y), hom(x, y), unit, sup(xs), inf(xs) and
-    carrier_grid(bound), the finite slice of the carrier the law checks use."""
+    order, x below y), the raw formulas _tensor(x, y) and _hom(x, y), unit,
+    sup(xs), inf(xs) and carrier_grid(bound), the finite slice of the carrier
+    the law checks use; tensor and hom check both operands, then run them."""
 
     name = None
 
@@ -43,6 +44,14 @@ class EnrichingLattice:
             if not (type(x) is int and x >= floor) and not contains(x):
                 raise ValueError("outside carrier: %s" % format_scalar(x))
         return xs
+
+    def tensor(self, x, y):
+        self._checked((x, y))
+        return self._tensor(x, y)
+
+    def hom(self, x, y):
+        self._checked((x, y))
+        return self._hom(x, y)
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.scalar_kind)
@@ -68,12 +77,10 @@ class TwoLattice(EnrichingLattice):
     def leq(self, x, y):
         return x is FALSE or y is TRUE
 
-    def tensor(self, x, y):
-        self._checked((x, y))
+    def _tensor(self, x, y):
         return TRUE if x is TRUE and y is TRUE else FALSE
 
-    def hom(self, x, y):
-        self._checked((x, y))
+    def _hom(self, x, y):
         return TRUE if x is FALSE or y is TRUE else FALSE
 
     def sup(self, xs):
@@ -127,13 +134,9 @@ class KbarLattice(_NumericLattice):
         return (t is int or t is float and (x == POS_INF or x == NEG_INF)
                 or t is Decimal and self._real and x.is_finite())
 
-    # no carrier check, unlike the other lattices: validate_category's triple
-    # loop runs here, on entries VCategory checked when it was built.  Off
-    # their int-int path, ext_add and ext_sub refuse a bool beside a finite operand.
-    def tensor(self, x, y):
-        return ext_add(x, y)
+    _tensor = staticmethod(ext_add)
 
-    def hom(self, x, y):
+    def _hom(self, x, y):
         return ext_sub(y, x)
 
     def carrier_grid(self, bound):
@@ -152,13 +155,10 @@ class KbarPlusLattice(_NumericLattice):
         return (t is int and x >= 0 or t is float and x == POS_INF
                 or t is Decimal and self._real and x.is_finite() and x >= 0)
 
-    def tensor(self, x, y):
-        self._checked((x, y))
-        return ext_add(x, y)
+    _tensor = staticmethod(ext_add)
 
-    def hom(self, x, y):
+    def _hom(self, x, y):
         # y - x truncated at the unit; subtracting inf gives the unit, even from inf
-        self._checked((x, y))
         d = ext_sub(y, x)
         return d if d > 0 else self.unit
 
@@ -171,12 +171,9 @@ class KbarPlusCartLattice(KbarPlusLattice):
 
     name = "kbar_plus_cart"
 
-    def tensor(self, x, y):
-        self._checked((x, y))
-        return max(x, y)
+    _tensor = staticmethod(max)
 
-    def hom(self, x, y):
-        self._checked((x, y))
+    def _hom(self, x, y):
         return self.unit if x >= y else y
 
 

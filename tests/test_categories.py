@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from lcdual.lattices import get_lattice
-from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
+from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin, format_scalar
 from lcdual.categories import (
     VCategory, VFunctor, Presheaf, make_category, make_functor, identity_functor, make_presheaf,
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
@@ -55,6 +55,16 @@ def test_a_category_built_from_lists_is_its_tuple_twin():
     assert C == twin and hash(C) == hash(twin)
     p = Presheaf(C, [1, 0])
     assert p.values == (1, 0) and p == yoneda(C, "b") and hash(p) == hash(yoneda(C, "b"))
+
+
+def test_a_functor_built_from_a_list_is_its_tuple_twin():
+    for A in (kcat([[0]]), kcat([[0, 3], [4, 0]])):
+        for positions in ([0] * len(A.objects), list(range(len(A.objects)))):
+            twin = VFunctor(A, A, tuple(positions))
+            for F in (VFunctor(A, A, positions), dataclasses.replace(twin, positions=positions)):
+                assert F.positions == twin.positions and type(F.positions) is tuple
+                assert F == twin and hash(F) == hash(twin)
+                assert F in enumerate_functors(A, A)
 
 
 def test_opposite():
@@ -203,11 +213,14 @@ def test_presheaf_dist_needs_one_base():
         presheaf_dist(p, q)
 
 
-@pytest.mark.parametrize("values", [{"a": 0.5, "b": TRUE}, {"a": 0, "b": TRUE}, {"a": 0.5, "b": 0}])
+@pytest.mark.parametrize("values", [{"a": 0.5, "b": TRUE}, {"a": 0, "b": TRUE}, {"a": 0.5, "b": 0},
+                                    {"a": 0, "b": Decimal("2.5")}])
 def test_presheaf_values_must_lie_in_the_carrier(values):
-    # an int kbar base admits neither floats nor truth values
-    with pytest.raises(ValueError, match="outside"):
+    # an int kbar base admits neither floats, truth values nor Decimals; the first one off it is named
+    bad = next(v for v in values.values() if type(v) is not int)
+    with pytest.raises(ValueError) as err:
         make_presheaf(kcat([[0, 3], [4, 0]]), values)
+    assert str(err.value) == "outside carrier: %s" % format_scalar(bad)
 
 
 def test_two_presheaves_are_lower_sets():

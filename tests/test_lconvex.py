@@ -82,12 +82,16 @@ def test_lcs_shape_checks():
 
 def test_entries_must_lie_in_the_carrier():
     half = Decimal("0.5")
-    with pytest.raises(ValueError, match="carrier"):
+    with pytest.raises(ValueError, match="^outside carrier: 0.5$"):
         make_lcs(("v",), [[half]])
     assert make_lcs(("v",), [[half]], "real").dbm == ((half,),)
-    for bad in (0.5, Decimal("Infinity"), Decimal("NaN")):
-        with pytest.raises(ValueError, match="carrier"):
-            make_lcs(("v",), [[bad]], "real")
+    for kind, bads in (("int", (True,)), ("real", (True, 0.5, Decimal("Infinity"), Decimal("NaN")))):
+        for bad in bads:
+            # the first entry off the carrier is named, wherever it sits
+            for rows in ([[bad]], [[0, 0], [bad, 0]], [[0, bad], [0.5, 0]]):
+                with pytest.raises(ValueError) as err:
+                    make_lcs(("v", "w")[:len(rows)], rows, kind)
+                assert str(err.value) == "outside carrier: %s" % format_scalar(bad)
     pts = (pt(v=half, w=Decimal("0.0")),)
     with pytest.raises(ValueError):
         from_generators(GeneratorSet(("v", "w"), pts))
