@@ -13,6 +13,7 @@ from lcdual.docfiles import parse_document, to_category, to_lcs
 from lcdual.duality import enumerate_homs
 
 from test_lattices import _TwoHomNegatesTarget
+import cli_corpus
 
 
 BAND_KCAT = """\
@@ -605,3 +606,12 @@ def test_readme_lists_every_command():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     assert [line.split()[1] for line in block.splitlines()] == list(cli.COMMANDS)
+
+
+def test_golden_corpus():
+    # every command, on valid, invalid, malformed and wrong-kind files of both
+    # scalar kinds, prints what the committed corpus recorded
+    assert {argv[0] for argv in cli_corpus.CASES.values()} == set(cli.COMMANDS)
+    committed = cli_corpus.read_corpus()
+    assert {code for code, _, _ in committed.values()} == {0, 1, 2}
+    assert cli_corpus.run_corpus() == committed
