@@ -68,11 +68,12 @@ def validate_category(C):
 
 
 class InvalidCategory(ValueError):
-    """A matrix that breaks the category laws; violations lists each broken law."""
+    """A matrix that breaks the category laws; violations, its one argument, lists each one."""
 
-    def __init__(self, violations):
-        self.violations = violations
-        super().__init__("not a valid category: " + "; ".join(violations))
+    violations = property(lambda self: self.args[0])
+
+    def __str__(self):
+        return "not a valid category: " + "; ".join(self.violations)
 
 
 def require_category(*cats):
@@ -91,28 +92,24 @@ def opposite(C):
 _BAD_POSITIONS = "a functor needs one codomain index per domain object"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def _check_positions(positions, n, m):
+    """Refuse positions unless they are n ints, each in range(m): the position rule."""
+    if len(positions) != n:
+        raise ValueError(_BAD_POSITIONS)
+    for j in positions:
+        if type(j) is not int or not 0 <= j < m:
+            raise ValueError(_BAD_POSITIONS)
+
+
+@dataclass(frozen=True, slots=True)
 class VFunctor:
     domain: VCategory
     codomain: VCategory
     positions: tuple  # positions[i]: codomain index of the image of domain.objects[i]
 
-    def __init__(self, domain, codomain, positions):
-        # Written out, unlike the generated __init__ and __post_init__ that
-        # VCategory, Presheaf and LConvexSet keep: the check is a plain loop,
-        # and the fields go straight into their slots, past the frozen
-        # __setattr__.  VFunctor(...), make_functor, compose_functors and
-        # dataclasses.replace come through here; a search builds its results
-        # in bulk in _functors, under the same check and the same setters.
-        n = len(codomain.objects)
-        if len(positions) != len(domain.objects):
-            raise ValueError(_BAD_POSITIONS)
-        for j in positions:
-            if type(j) is not int or not 0 <= j < n:
-                raise ValueError(_BAD_POSITIONS)
-        _set_domain(self, domain)
-        _set_codomain(self, codomain)
-        _set_positions(self, tuple(positions))
+    def __post_init__(self):
+        object.__setattr__(self, "positions", tuple(self.positions))
+        _check_positions(self.positions, len(self.domain.objects), len(self.codomain.objects))
 
     @property
     def object_map(self):
@@ -277,12 +274,13 @@ def enumerate_functors(A, B):
 def _functors(domain, codomain, levels):
     """The VFunctors domain -> codomain of the index maps in levels, in order.
 
-    Each level (prefix, tails) of _index_maps is checked whole against
-    VFunctor.__init__'s rule: the prefix once per level, each tails tuple
-    once per distinct tuple.  A tails tuple is remembered by value, and an
-    equal tuple that is not the one checked is checked again, since (True,)
-    and (1.0,) equal (1,).  The results are then built in C-level passes
-    over the flat list of positions, with no Python call per result.
+    Each level (prefix, tails) of _index_maps is checked whole under the
+    position rule that VFunctor.__post_init__ applies: the prefix once per
+    level, each tails tuple once per distinct tuple.  A tails tuple is
+    remembered by value, and an equal tuple that is not the one checked is
+    checked again, since (True,) and (1.0,) equal (1,).  The results are
+    then built in C-level passes over the flat list of positions, with no
+    Python call per result.
     """
     m = len(codomain.objects)
     width = min(len(domain.objects), 1)  # every map's last position, or none
@@ -290,18 +288,10 @@ def _functors(domain, codomain, levels):
     checked = {}  # tails -> the tails tuple that passed the check
     ps = []
     for prefix, tails in levels:
-        if len(prefix) != head:
-            raise ValueError(_BAD_POSITIONS)
-        for j in prefix:
-            if type(j) is not int or not 0 <= j < m:
-                raise ValueError(_BAD_POSITIONS)
+        _check_positions(prefix, head, m)
         if checked.get(tails) is not tails:
             for t in tails:
-                if len(t) != width:
-                    raise ValueError(_BAD_POSITIONS)
-                for j in t:
-                    if type(j) is not int or not 0 <= j < m:
-                        raise ValueError(_BAD_POSITIONS)
+                _check_positions(t, width, m)
             checked[tails] = tails
         ps += map(prefix.__add__, tails)
     objs = list(map(object.__new__, repeat(VFunctor, len(ps))))

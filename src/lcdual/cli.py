@@ -36,8 +36,8 @@ def _load(path, command, kinds):
         raise DocumentError("cannot read %s: %s" % (path, exc))
     doc = docfiles.parse_document(text)
     if doc.kind not in kinds:
-        article = "an" if kinds[0] == "lconvex" else "a"
-        raise DocumentError("%s expects %s %s file" % (command, article, " or ".join(kinds)))
+        named = " or ".join((docfiles.KINDS[kinds[0]][0],) + kinds[1:])
+        raise DocumentError("%s expects %s file" % (command, named))
     return docfiles.convert(doc)
 
 

@@ -14,18 +14,21 @@ duplicate or missing matrix entries, and label mismatches are reported
 with line numbers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scalars import parse_scalar, format_scalar
 from .lattices import get_lattice
 from .categories import VCategory
 from .lconvex import LConvexSet, GeneratorSet
 
-MATRIX_KINDS = ("kcategory", "lconvex", "constraints")
-POINT_KINDS = ("points", "generators")
-KINDS = MATRIX_KINDS + POINT_KINDS
-# the label-list key and the matrix-entry key of each kind
-_KEYS = {kind: ("points", "hom") if kind == "kcategory" else ("index", "d") for kind in KINDS}
+# kind: (its name with an article, its label-list key, its body-line key, its value type)
+KINDS = {
+    "kcategory": ("a kcategory", "points", "hom", VCategory),
+    "lconvex": ("an lconvex", "index", "d", LConvexSet),
+    "constraints": ("a constraints", "index", "d", LConvexSet),
+    "points": ("a points", "index", "point", GeneratorSet),
+    "generators": ("a generators", "index", "point", GeneratorSet),
+}
 
 
 class DocumentError(Exception):
@@ -42,10 +45,7 @@ class Document:
     scalar: str
     labels: tuple
     matrix: tuple = None       # for matrix kinds
-    points: tuple = field(default=None)  # for point kinds: tuples of scalars
-
-    label_key = property(lambda self: _KEYS[self.kind][0])
-    entry_key = property(lambda self: _KEYS[self.kind][1])
+    points: tuple = None       # for point kinds: tuples of scalars
 
 
 def _is_identifier(label):
@@ -84,7 +84,7 @@ def parse_document(text):
                 raise DocumentError("duplicate label list", lineno)
             if kind is None:
                 raise DocumentError("label list before the kind header", lineno)
-            expected = _KEYS[kind][0]
+            expected = KINDS[kind][1]
             if key != expected:
                 raise DocumentError("kind %s uses a %r label list, not %r"
                                     % (kind, expected, key), lineno)
@@ -100,9 +100,9 @@ def parse_document(text):
         elif key in ("hom", "d"):
             if kind is None or scalar is None or labels is None:
                 raise DocumentError("matrix entry before the headers", lineno)
-            if kind not in MATRIX_KINDS:
+            expected = KINDS[kind][2]
+            if expected == "point":
                 raise DocumentError("kind %s has no matrix entries" % kind, lineno)
-            expected = _KEYS[kind][1]
             if key != expected:
                 raise DocumentError("kind %s uses %r entries, not %r"
                                     % (kind, expected, key), lineno)
@@ -122,7 +122,7 @@ def parse_document(text):
         elif key == "point":
             if kind is None or scalar is None or labels is None:
                 raise DocumentError("point line before the headers", lineno)
-            if kind not in POINT_KINDS:
+            if KINDS[kind][2] != "point":
                 raise DocumentError("kind %s has no point lines" % kind, lineno)
             parts = rest.split()
             if len(parts) != len(labels):
@@ -141,7 +141,7 @@ def parse_document(text):
         raise DocumentError("missing scalar header")
     if labels is None:
         raise DocumentError("missing label list")
-    if kind in MATRIX_KINDS:
+    if KINDS[kind][2] != "point":
         missing = [(a, b) for a in labels for b in labels if (a, b) not in entries]
         if missing:
             raise DocumentError("missing entries for pairs: %s"
@@ -152,52 +152,43 @@ def parse_document(text):
 
 
 def emit_document(doc):
+    _, label_key, key, _ = KINDS[doc.kind]
     lines = ["kind: %s" % doc.kind, "scalar: %s" % doc.scalar,
-             "%s: %s" % (doc.label_key, " ".join(doc.labels))]
-    if doc.kind in MATRIX_KINDS:
-        key = doc.entry_key
-        for i, a in enumerate(doc.labels):
-            for j, b in enumerate(doc.labels):
-                lines.append("%s: %s %s %s" % (key, a, b, format_scalar(doc.matrix[i][j])))
+             "%s: %s" % (label_key, " ".join(doc.labels))]
+    if key == "point":
+        lines += ["point: " + " ".join(map(format_scalar, pt)) for pt in doc.points]
     else:
-        for pt in doc.points:
-            lines.append("point: %s" % " ".join(format_scalar(x) for x in pt))
+        lines += ["%s: %s %s %s" % (key, a, b, format_scalar(x))
+                  for a, row in zip(doc.labels, doc.matrix) for b, x in zip(doc.labels, row)]
     return "\n".join(lines) + "\n"
 
 
 # --- conversions to domain values ---------------------------------------
 
+def convert(doc, *kinds):
+    """The domain value of a document, whose kind must be one of kinds if any are given."""
+    if kinds and doc.kind not in kinds:
+        raise DocumentError("expected %s document, got kind %s" % (KINDS[kinds[0]][0], doc.kind))
+    value = KINDS[doc.kind][3]
+    if value is GeneratorSet:
+        return GeneratorSet(doc.labels, doc.points, doc.scalar)
+    return value(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
+
+
 def to_category(doc):
-    if doc.kind != "kcategory":
-        raise DocumentError("expected a kcategory document, got kind %s" % doc.kind)
-    return VCategory(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
+    return convert(doc, "kcategory")
 
 
 def to_lcs(doc):
-    if doc.kind != "lconvex":
-        raise DocumentError("expected an lconvex document, got kind %s" % doc.kind)
-    return LConvexSet(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
+    return convert(doc, "lconvex")
 
 
 def to_constraints(doc):
-    if doc.kind not in ("constraints", "lconvex"):
-        raise DocumentError("expected a constraints document, got kind %s" % doc.kind)
-    return LConvexSet(get_lattice("kbar", doc.scalar), doc.labels, doc.matrix)
+    return convert(doc, "constraints", "lconvex")
 
 
 def to_generators(doc):
-    if doc.kind not in POINT_KINDS:
-        raise DocumentError("expected a generators document, got kind %s" % doc.kind)
-    return GeneratorSet(doc.labels, doc.points, doc.scalar)
-
-
-_CONVERTERS = {"kcategory": to_category, "lconvex": to_lcs, "constraints": to_constraints,
-               "points": to_generators, "generators": to_generators}
-
-
-def convert(doc):
-    """The domain value of a document, by the converter of its kind."""
-    return _CONVERTERS[doc.kind](doc)
+    return convert(doc, "generators", "points")
 
 
 def from_category(C):

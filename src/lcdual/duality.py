@@ -18,7 +18,7 @@ from .categories import (
     VCategory, VFunctor, make_functor, require_category, is_functor, canonical_leq,
     enumerate_functors,
 )
-from .lconvex import LConvexSet
+from .lconvex import LConvexSet, _checked_points
 
 PI_PREFIX = "pi_"
 
@@ -29,7 +29,8 @@ def make_homomorphism(D, E, mapping):
 
 
 def pullback(phi, p):
-    """The underlying point map: precompose coordinates with phi's positions."""
+    """The underlying point map: p, a point of phi.codomain, precomposed with phi's positions."""
+    (p,) = _checked_points((p,), len(phi.codomain.objects), phi.codomain.lattice)
     return tuple(p[j] for j in phi.positions)
 
 

@@ -13,7 +13,7 @@ infinity tables are forced, not configurable.
 
 from decimal import Decimal
 
-from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_scalar
+from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_scalar, _scalar_kind
 
 
 class EnrichingLattice:
@@ -25,9 +25,7 @@ class EnrichingLattice:
     name = None
 
     def __init__(self, scalar_kind="int"):
-        if scalar_kind not in ("int", "real"):
-            raise ValueError("scalar_kind must be 'int' or 'real'")
-        self.scalar_kind = scalar_kind
+        self.scalar_kind = _scalar_kind(scalar_kind)
 
     # an exact int at or above _floor lies in the carrier, so _checked skips
     # its contains call; no int reaches the default

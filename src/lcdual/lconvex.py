@@ -20,12 +20,16 @@ from .lattices import get_lattice
 from .categories import VCategory, validate_category, self_enrichment, residuals, _index_maps
 
 
+def _require_kbar(L):
+    if L.name != "kbar":
+        raise ValueError("an L-convex set needs the kbar lattice, not %r" % L)
+
+
 class LConvexSet(VCategory):
     """A dbm is a category over kbar; index, dbm and bound are its L-convex names."""
 
     def __post_init__(self):
-        if self.lattice.name != "kbar":
-            raise ValueError("an L-convex set needs the kbar lattice, not %r" % self.lattice)
+        _require_kbar(self.lattice)
         super().__post_init__()
 
     scalar_kind = property(lambda self: self.lattice.scalar_kind)
@@ -42,6 +46,11 @@ class GeneratorSet:
     points: tuple  # coordinate tuples in index order
     scalar_kind: str = "int"
 
+    def __post_init__(self):
+        object.__setattr__(self, "index", tuple(self.index))
+        L = get_lattice("kbar", self.scalar_kind)
+        object.__setattr__(self, "points", _checked_points(self.points, len(self.index), L))
+
 
 def make_lcs(index, rows, scalar_kind="int"):
     return LConvexSet(get_lattice("kbar", scalar_kind), index, rows)
@@ -50,14 +59,18 @@ def make_lcs(index, rows, scalar_kind="int"):
 validate_lcs = validate_category
 
 
-def _check_arity(points, n):
+def _checked_points(points, n, L):
+    """points as a tuple of tuples, each of n coordinates in L's carrier: the point rule."""
+    points = tuple(map(tuple, points))
     if any(len(p) != n for p in points):
         raise ValueError("a point needs %d coordinates, one per index" % n)
+    L._checked([x for p in points for x in p])
+    return points
 
 
 def member(D, p):
     """Membership: every difference constraint holds under extended subtraction."""
-    _check_arity((p,), len(D.index))
+    (p,) = _checked_points((p,), len(D.index), D.lattice)
     for x, row in zip(p, D.dbm):
         for y, bound in zip(p, row):
             if bound < ext_sub(y, x):
@@ -73,9 +86,7 @@ def from_generators(S):
     only the all-inf and all-(-inf) points).  As hom(x, y) is y - x in
     kbar, these are the residuals of the coordinate rows, in point order.
     """
-    n = len(S.index)
-    _check_arity(S.points, n)
-    L, coords = get_lattice("kbar", S.scalar_kind), [[p[v] for p in S.points] for v in range(n)]
+    L, coords = get_lattice("kbar", S.scalar_kind), list(zip(*S.points)) or [()] * len(S.index)
     return LConvexSet(L, S.index, residuals(L, coords))
 
 
@@ -92,6 +103,7 @@ def closure(c):
     collapses to -inf.  Infeasibility of finite points shows up as -inf
     entries, not as an error.  Real bounds are summed exactly under EXACT.
     """
+    _require_kbar(c.lattice)
     INF, NINF = POS_INF, NEG_INF
     n, zero = len(c.objects), c.lattice.unit
     # Within the pass -inf is Decimal("-Infinity"), which sums with ints and
@@ -123,20 +135,21 @@ def closure(c):
                     if d[v][j] != INF:
                         row[j] = NINF
     rows = [[NINF if x == NINF else x for x in row] for row in d]
-    return LConvexSet(get_lattice("kbar", c.lattice.scalar_kind), c.objects, rows)
+    return LConvexSet(c.lattice, c.objects, rows)
+
+
+# the real carrier holds every numeric payload, int or Decimal
+_POINT_LATTICE = get_lattice("kbar", "real")
 
 
 def weight_shift(p, alpha, sign="plus"):
     """Add or subtract the constant vector alpha * 1 coordinatewise."""
+    *p, alpha = _POINT_LATTICE._checked((*p, alpha))
     if sign == "plus":
         return tuple(ext_add(x, alpha) for x in p)
     if sign == "minus":
         return tuple(ext_sub(x, alpha) for x in p)
     raise ValueError("sign must be 'plus' or 'minus'")
-
-
-# the real carrier holds every numeric payload, int or Decimal
-_POINT_LATTICE = get_lattice("kbar", "real")
 
 
 def point_sup(points, n):
@@ -150,8 +163,7 @@ def point_inf(points, n):
 
 
 def _pointwise(points, n, op):
-    points = list(points)
-    _check_arity(points, n)
+    points = _checked_points(points, n, _POINT_LATTICE)
     return tuple(op([p[i] for p in points]) for i in range(n))
 
 

@@ -47,6 +47,13 @@ TRUE = _Truth("true")
 FALSE = _Truth("false")
 
 
+def _scalar_kind(kind):
+    """kind, if it names a scalar kind: 'int' or 'real'."""
+    if kind not in ("int", "real"):
+        raise ValueError("scalar_kind must be 'int' or 'real'")
+    return kind
+
+
 def fin(value):
     """Check that value is an int or a finite Decimal, and return it."""
     if not (type(value) is int or type(value) is Decimal and value.is_finite()):
@@ -102,12 +109,13 @@ def parse_scalar(text, scalar_kind="int"):
     real kind accepts ASCII decimal literals with an optional exponent, as
     the exact Decimal, if its exponent lies within MAX_EXPONENT of 0.
     """
+    kind = _scalar_kind(scalar_kind)
     text = text.strip()
     if text == "inf":
         return POS_INF
     if text == "-inf":
         return NEG_INF
-    if scalar_kind == "int":
+    if kind == "int":
         if not _INT_LITERAL.fullmatch(text):
             raise ValueError("bad integer scalar literal: %r" % text)
         return int(text)

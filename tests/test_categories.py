@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import inspect
+import pickle
 import random
 from decimal import Decimal
 from itertools import product
@@ -15,7 +17,7 @@ from lcdual.categories import (
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
     InvalidCategory, require_category, residuals,
 )
-from lcdual.lconvex import closure, make_lcs
+from lcdual.lconvex import GeneratorSet, closure, make_lcs
 
 from conftest import kcat, INF, NINF, random_valid_kcat
 
@@ -43,6 +45,8 @@ def test_require_category_reports_each_distinct_input_in_order():
     assert exc.value.violations == want
     assert str(exc.value) == "not a valid category: " + "; ".join(want)
     assert isinstance(exc.value, ValueError)
+    for twin in (copy.copy(exc.value), pickle.loads(pickle.dumps(exc.value))):
+        assert (twin.violations, str(twin)) == (want, str(exc.value))
 
 
 def test_a_category_built_from_lists_is_its_tuple_twin():
@@ -55,6 +59,9 @@ def test_a_category_built_from_lists_is_its_tuple_twin():
     assert C == twin and hash(C) == hash(twin)
     p = Presheaf(C, [1, 0])
     assert p.values == (1, 0) and p == yoneda(C, "b") and hash(p) == hash(yoneda(C, "b"))
+    S, twin = GeneratorSet(["v", "w"], [[1, 0], [2, 3]]), GeneratorSet(("v", "w"), ((1, 0), (2, 3)))
+    assert (S.index, S.points) == (twin.index, twin.points) and type(S.points[0]) is tuple
+    assert S == twin and hash(S) == hash(twin)
 
 
 def test_a_functor_built_from_a_list_is_its_tuple_twin():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lcdual.scalars import NEG_INF, POS_INF, fin, ext_sub, format_scalar
 from lcdual.lattices import get_lattice
 from lcdual.categories import VCategory, validate_category
-from lcdual.duality import cat_to_lcs
+from lcdual.duality import cat_to_lcs, make_homomorphism, pullback
 from lcdual.lconvex import (
     LConvexSet, GeneratorSet,
     make_lcs, validate_lcs, member, from_generators, closure, weight_shift,
@@ -69,8 +69,10 @@ def test_lcs_takes_the_category_fields():
     assert isinstance(E, LConvexSet) and E.dbm == ((0, 2), (1, 0)) and E.index == D.index
     for name in ("two", "kbar_plus", "kbar_plus_cart"):
         L = get_lattice(name)
-        with pytest.raises(ValueError, match="^an L-convex set needs the kbar lattice, not "):
-            LConvexSet(L, ("v",), ((L.unit,),))
+        # closure refuses such a matrix too, before its pass
+        for make in (LConvexSet, lambda *fields: closure(VCategory(*fields))):
+            with pytest.raises(ValueError, match="^an L-convex set needs the kbar lattice, not "):
+                make(L, ("v",), ((L.unit,),))
 
 
 def test_lcs_shape_checks():
@@ -85,15 +87,28 @@ def test_entries_must_lie_in_the_carrier():
     with pytest.raises(ValueError, match="^outside carrier: 0.5$"):
         make_lcs(("v",), [[half]])
     assert make_lcs(("v",), [[half]], "real").dbm == ((half,),)
-    for kind, bads in (("int", (True,)), ("real", (True, 0.5, Decimal("Infinity"), Decimal("NaN")))):
+    for kind, bads in (("int", (True, half, Decimal("Infinity"))),
+                       ("real", (True, 0.5, Decimal("Infinity"), Decimal("NaN")))):
+        D = make_lcs(("v", "w"), [[0, POS_INF], [POS_INF, 0]], kind)
+        phi = make_homomorphism(D, D, {"v": "v", "w": "w"})
         for bad in bads:
             # the first entry off the carrier is named, wherever it sits
             for rows in ([[bad]], [[0, 0], [bad, 0]], [[0, bad], [0.5, 0]]):
                 with pytest.raises(ValueError) as err:
                     make_lcs(("v", "w")[:len(rows)], rows, kind)
                 assert str(err.value) == "outside carrier: %s" % format_scalar(bad)
+            # and so is the first coordinate off it, in generators and query points;
+            # weight_shift takes any real payload, so the int kind's half passes it
+            checks = [lambda: GeneratorSet(("v", "w"), ((0, 0), (1, bad), (0.5, 0)), kind),
+                      lambda: member(D, (bad, 0.5)), lambda: pullback(phi, (0, bad))]
+            if kind == "real":
+                checks += [lambda: weight_shift((0, bad, 0.5), 1), lambda: weight_shift((0, 1), bad)]
+            for check in checks:
+                with pytest.raises(ValueError) as err:
+                    check()
+                assert str(err.value) == "outside carrier: %s" % format_scalar(bad)
     pts = (pt(v=half, w=Decimal("0.0")),)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^outside carrier: 0.5$"):
         from_generators(GeneratorSet(("v", "w"), pts))
     assert from_generators(GeneratorSet(("v", "w"), pts, "real")).bound("v", "w") == Decimal("-0.5")
 
@@ -384,13 +399,14 @@ def test_point_sup_inf():
 @pytest.mark.parametrize("p", [(fin(0),), (fin(0), fin(0), fin(5))], ids=["short", "long"])
 def test_points_must_match_the_arity(p):
     D = lcs([[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        member(D, p)
-    with pytest.raises(ValueError):
-        from_generators(GeneratorSet(("v", "w"), (pt(v=0, w=0), p)))
-    for op in (point_sup, point_inf):
-        with pytest.raises(ValueError):
-            op([pt(v=0, w=0), p], 2)
+    phi = make_homomorphism(D, D, {"v": "w", "w": "v"})
+    for check in (lambda: member(D, p),
+                  lambda: from_generators(GeneratorSet(("v", "w"), (pt(v=0, w=0), p))),
+                  lambda: pullback(phi, p),
+                  lambda: point_sup([pt(v=0, w=0), p], 2),
+                  lambda: point_inf([pt(v=0, w=0), p], 2)):
+        with pytest.raises(ValueError, match="^a point needs 2 coordinates, one per index$"):
+            check()
 
 
 def test_membership_closed_under_lattice_ops_and_shifts():

@@ -143,6 +143,9 @@ def test_parse_format_roundtrip():
         parse_scalar("in")
     with pytest.raises(ValueError):
         parse_scalar("2.5", "int")
+    for kind in ("Int", "complex"):
+        with pytest.raises(ValueError, match="^scalar_kind must be 'int' or 'real'$"):
+            parse_scalar("7", kind)
 
 
 def test_no_machine_infinities_in_payload():
