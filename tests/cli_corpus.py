@@ -51,6 +51,11 @@ FILES = {
     "inv.kcat": _matrix("kcategory", "int", "ab", ["1 5", "1 0"]),
     "chain.kcat": _matrix("kcategory", "int", "abc", ["0 1 2", "inf 0 1", "inf inf 0"]),
     "collapsed.kcat": _matrix("kcategory", "int", "uvw", ["-inf -inf -inf"] * 3),
+    # identity failures, and composition failures at several (a, b) pairs with several c each
+    "four.kcat": _matrix("kcategory", "int", "abcd",
+                         ["1 0 5 -3", "2 0 -1 inf", "0 4 2 1", "-inf 1 0 0"]),
+    "four-real.kcat": _matrix("kcategory", "real", "abcd",
+                              ["0.5 0 1.25 -3", "2e1 0 -0.001 inf", "0 4 1e-2 1", "-inf 1.5 0 -inf"]),
     "band.lcx": _matrix("lconvex", "int", "vw", ["0 1", "1 0"]),
     "band-real.lcx": _matrix("lconvex", "real", "vw", ["0 1.5", "0.5 0"]),
     "halfplane.lcx": _matrix("lconvex", "int", "vw", ["0 1", "inf 0"]),
@@ -87,6 +92,8 @@ CASES = {
     "validate-broken": ["validate", "@broken.kcat"],
     "validate-broken-real": ["validate", "@broken-real.kcat"],
     "validate-inv-lcx": ["validate", "@inv.lcx"],
+    "validate-four": ["validate", "@four.kcat"],
+    "validate-four-real": ["validate", "@four-real.kcat"],
     "validate-malformed": ["validate", "@bad-value.kcat"],
     "validate-malformed-real": ["validate", "@bad-real.lcx"],
     "validate-missing-entries": ["validate", "@missing.kcat"],
@@ -131,6 +138,8 @@ CASES = {
     "functors-collapsed": ["functors", "@collapsed.kcat", "@collapsed.kcat"],
     "functors-real": ["functors", "@band-real.kcat", "@band-real.kcat"],
     "functors-invalid": ["functors", "@band.kcat", "@inv.kcat"],
+    "functors-two-invalid": ["functors", "@four.kcat", "@inv.kcat"],
+    "functors-two-invalid-real": ["functors", "@four-real.kcat", "@broken-real.kcat"],
     "functors-malformed": ["functors", "@band.kcat", "@bad-value.kcat"],
     "functors-wrong-kind": ["functors", "@band.lcx", "@band.kcat"],
     "homs-band": ["homs", "@band.lcx", "@band.lcx"],
