@@ -14,7 +14,6 @@ views are read off these tuples.
 from dataclasses import dataclass
 from collections import deque
 from itertools import compress, repeat
-from operator import eq
 
 from .scalars import format_scalar
 from .lattices import EnrichingLattice
@@ -46,24 +45,29 @@ class VCategory:
 make_category = VCategory
 
 
+def _above(leq, M, N):
+    """The (i, j) pairs, in row order, where M[i][j] is not below N[i][j]."""
+    return [(i, j) for i, (m, n) in enumerate(zip(M, N))
+            for j, ok in enumerate(map(leq, m, n)) if not ok]
+
+
 def validate_category(C):
-    """List of violated-law descriptions; empty iff C is a category.  The
-    triple loop runs the raw tensor on entries C checked when it was built."""
-    L = C.lattice
+    """List of violated-law descriptions; empty iff C is a category.  By
+    adjointness the composition law holds at (a, b, every c) iff hom(a, b) is
+    below residuals(L, C.hom)[b][a]; c is walked, with the raw tensor on the
+    entries C checked when it was built, only for the (a, b) where it is not."""
+    L, objects, M = C.lattice, C.objects, C.hom
     bad = []
-    for a in C.objects:
-        if not L.leq(L.unit, C.hom_at(a, a)):
+    for i, a in enumerate(objects):
+        if not L.leq(L.unit, M[i][i]):
             bad.append("identity law fails at %s: unit %s is not below hom %s"
-                       % (a, format_scalar(L.unit), format_scalar(C.hom_at(a, a))))
-    for a in C.objects:
-        for b in C.objects:
-            for c in C.objects:
-                lhs = L._tensor(C.hom_at(a, b), C.hom_at(b, c))
-                rhs = C.hom_at(a, c)
-                if not L.leq(lhs, rhs):
-                    bad.append(
-                        "composition law fails at (%s, %s, %s): %s is not below %s"
-                        % (a, b, c, format_scalar(lhs), format_scalar(rhs)))
+                       % (a, format_scalar(L.unit), format_scalar(M[i][i])))
+    for i, j in _above(L.leq, M, zip(*residuals(L, M))):
+        for c, hbc, hac in zip(objects, M[j], M[i]):
+            lhs = L._tensor(M[i][j], hbc)
+            if not L.leq(lhs, hac):
+                bad.append("composition law fails at (%s, %s, %s): %s is not below %s"
+                           % (objects[i], objects[j], c, format_scalar(lhs), format_scalar(hac)))
     return bad
 
 
@@ -124,29 +128,28 @@ _set_domain, _set_codomain, _set_positions = (
     VFunctor.__dict__[name].__set__ for name in ("domain", "codomain", "positions"))
 
 
-def make_functor(domain, codomain, mapping):
-    """The functor a |-> mapping[a], from a label mapping keyed by exactly the domain's objects."""
+def _by_object(C, mapping):
+    """mapping's values in C's object order, if keyed by exactly C's objects: the label rule."""
     for a in mapping:
-        if a not in domain._pos:
+        if a not in C._pos:
             raise ValueError("%r is not a domain object" % (a,))
-    positions = []
-    for a in domain.objects:
+    for a in C.objects:
         if a not in mapping:
             raise ValueError("no image given for %r" % (a,))
-        if mapping[a] not in codomain._pos:
-            raise ValueError("%r maps to %r, outside the codomain" % (a, mapping[a]))
-        positions.append(codomain._pos[mapping[a]])
-    return VFunctor(domain, codomain, tuple(positions))
+    return [mapping[a] for a in C.objects]
+
+
+def make_functor(domain, codomain, mapping):
+    """The functor a |-> mapping[a], from a label mapping keyed by exactly the domain's objects."""
+    images = _by_object(domain, mapping)
+    for a, b in zip(domain.objects, images):
+        if b not in codomain._pos:
+            raise ValueError("%r maps to %r, outside the codomain" % (a, b))
+    return VFunctor(domain, codomain, [codomain._pos[b] for b in images])
 
 
 def identity_functor(C):
     return VFunctor(C, C, tuple(range(len(C.objects))))
-
-
-def _increasing(src, dst, rel, c):
-    """rel(src[i][k], dst[c[i]][c[k]]) for all i, k; with the lattice order
-    this is the increasing condition on the index map c."""
-    return all(rel(s, dst[ci][ck]) for row, ci in zip(src, c) for s, ck in zip(row, c))
 
 
 def _index_maps(src, dst, leq):
@@ -227,13 +230,19 @@ def _index_maps(src, dst, leq):
             untried.append(narrowed[i + 1])
 
 
+def _image(F):
+    """The codomain's hom read through F's positions: hom(F a, F a') at (a, a')."""
+    hom, p = F.codomain.hom, F.positions
+    return tuple(tuple(hom[i][k] for k in p) for i in p)
+
+
 def is_functor(F):
     """The increasing condition: hom(a,a') below hom(F a, F a')."""
-    return _increasing(F.domain.hom, F.codomain.hom, F.domain.lattice.leq, F.positions)
+    return not _above(F.domain.lattice.leq, F.domain.hom, _image(F))
 
 
 def is_fully_faithful(F):
-    return _increasing(F.domain.hom, F.codomain.hom, eq, F.positions)
+    return F.domain.hom == _image(F)
 
 
 def is_isomorphism(F):
@@ -250,7 +259,8 @@ def compose_functors(G, F):
 
 def functor_hom(F, G):
     """Hom-value between parallel functors: inf over a of hom(F a, G a)."""
-    _check_parallel(F, G)
+    if F.domain != G.domain or F.codomain != G.codomain:
+        raise ValueError("functors are not parallel")
     B = F.codomain
     return B.lattice.inf([B.hom[i][j] for i, j in zip(F.positions, G.positions)])
 
@@ -259,11 +269,6 @@ def canonical_leq(F, G):
     """F below G iff unit is below the hom-value, i.e. below hom(F a, G a) for every a."""
     L = F.codomain.lattice
     return L.leq(L.unit, functor_hom(F, G))
-
-
-def _check_parallel(F, G):
-    if F.domain != G.domain or F.codomain != G.codomain:
-        raise ValueError("functors are not parallel")
 
 
 def enumerate_functors(A, B):
@@ -336,13 +341,14 @@ class Presheaf:
 
 
 def make_presheaf(base, mapping):
-    return Presheaf(base, tuple(mapping[a] for a in base.objects))
+    """The presheaf a |-> mapping[a], from a mapping keyed by exactly the base's objects."""
+    return Presheaf(base, _by_object(base, mapping))
 
 
 def is_presheaf(p):
     """Contravariant nonexpansiveness: hom(a,b) below hom_L(p(b), p(a))."""
     L, v = p.base.lattice, p.values
-    return all(L.leq(h, L._hom(vb, va)) for row, va in zip(p.base.hom, v) for h, vb in zip(row, v))
+    return not _above(L.leq, p.base.hom, [[L._hom(vb, va) for vb in v] for va in v])
 
 
 def presheaf_dist(p1, p2):

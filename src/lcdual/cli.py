@@ -21,7 +21,7 @@ from .categories import (
     enumerate_functors,
 )
 from .lconvex import LConvexSet, closure, from_generators, member
-from .duality import cat_to_lcs, lcs_to_cat, enumerate_homs
+from .duality import cat_to_lcs, lcs_to_cat, make_homomorphism, enumerate_homs
 from .classify import render_region, two_point_shape
 from . import docfiles
 from .docfiles import DocumentError
@@ -141,11 +141,11 @@ def cmd_leq(args, dom, cod):
     m1, m2 = (_parse_spec(s, ":", "map entry", "from:to") for s in args.map)
     if type(dom) is not type(cod):
         raise DocumentError("leq expects two kcategory files or two lconvex files")
-    # a homomorphism D -> E is the functor [E] -> [D] with the same index map
-    A, B, what = (cod, dom, "homomorphism") if isinstance(dom, LConvexSet) else (dom, cod, "functor")
+    make, what = ((make_homomorphism, "homomorphism") if isinstance(dom, LConvexSet)
+                  else (make_functor, "functor"))
     try:
-        F = make_functor(A, B, m1)
-        G = make_functor(A, B, m2)
+        F = make(dom, cod, m1)
+        G = make(dom, cod, m2)
     except ValueError as exc:
         raise DocumentError("bad map spec: %s" % exc)
     if not is_functor(F) or not is_functor(G):

@@ -34,15 +34,10 @@ def pullback(phi, p):
     return tuple(p[j] for j in phi.positions)
 
 
-def _require_valid_category(A):
-    require_category(A)
-    if A.lattice.name != "kbar":
-        raise ValueError("duality needs a category over kbar")
-
-
 def cat_to_lcs(A):
-    """Members of the result are exactly the nonexpansive maps A -> kbar."""
-    _require_valid_category(A)
+    """Members of the result are exactly the nonexpansive maps A -> kbar;
+    LConvexSet refuses an A that is not over kbar."""
+    require_category(A)
     return LConvexSet(A.lattice, A.objects, A.hom)
 
 
@@ -53,7 +48,7 @@ def lcs_to_cat(D):
     p, so this is the full subcategory of the member space on the
     canonical points.
     """
-    _require_valid_category(D)
+    require_category(D)
     return VCategory(D.lattice, tuple(PI_PREFIX + v for v in D.index), D.dbm)
 
 

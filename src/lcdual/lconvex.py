@@ -17,7 +17,9 @@ from decimal import Decimal, localcontext
 
 from .scalars import EXACT, NEG_INF, POS_INF, ext_add, ext_sub
 from .lattices import get_lattice
-from .categories import VCategory, validate_category, self_enrichment, residuals, _index_maps
+from .categories import (
+    VCategory, validate_category, self_enrichment, residuals, _index_maps, _above,
+)
 
 
 def _require_kbar(L):
@@ -69,13 +71,9 @@ def _checked_points(points, n, L):
 
 
 def member(D, p):
-    """Membership: every difference constraint holds under extended subtraction."""
+    """Membership: every bound dbm[v][w] is below hom(p(v), p(w)) = p(w) - p(v) in kbar."""
     (p,) = _checked_points((p,), len(D.index), D.lattice)
-    for x, row in zip(p, D.dbm):
-        for y, bound in zip(p, row):
-            if bound < ext_sub(y, x):
-                return False
-    return True
+    return not _above(D.lattice.leq, D.dbm, [[ext_sub(y, x) for y in p] for x in p])
 
 
 def from_generators(S):

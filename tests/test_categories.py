@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from lcdual.lattices import get_lattice
-from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin, format_scalar
+from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin, format_scalar, ext_add, ext_sub
 from lcdual.categories import (
     VCategory, VFunctor, Presheaf, make_category, make_functor, identity_functor, make_presheaf,
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
@@ -213,6 +213,16 @@ def test_presheaf_needs_one_value_per_object():
             Presheaf(C, values)
 
 
+def test_make_presheaf_needs_exactly_the_base_objects():
+    # the label rule of make_functor; make_presheaf once raised KeyError for a
+    # missing label and dropped a stray one
+    C = kcat([[0, 3], [4, 0]])
+    with pytest.raises(ValueError, match="^no image given for 'b'$"):
+        make_presheaf(C, {"a": fin(0)})
+    with pytest.raises(ValueError, match="^'zz' is not a domain object$"):
+        make_presheaf(C, {"a": fin(0), "b": fin(1), "zz": fin(5)})
+
+
 def test_presheaf_dist_needs_one_base():
     p = make_presheaf(kcat([[0, 3], [4, 0]]), {"a": fin(0), "b": fin(3)})
     q = make_presheaf(kcat([[0, 3], [3, 0]]), {"a": fin(0), "b": fin(3)})
@@ -311,12 +321,20 @@ def _closed(L, rows):
     return d
 
 
-def random_matrices(name, kind, per_size, seed=0):
-    """For n = 0..6, per_size raw, closed and closed-then-perturbed matrices
-    over the lattice, as categories (valid or not)."""
+def _wide_pool(L):
+    """_pool plus values off its grid: far ints and, for the real kind,
+    Decimals with exponents from -21 to 30."""
+    extra = [-17, 9, 1000, Decimal("1E+30"), Decimal("-2.5E-20"), Decimal("3.000"),
+             Decimal("7E-3"), Decimal("-4.1E+12"), Decimal("0.125")]
+    return _pool(L) + [x for x in extra if L.contains(x)]
+
+
+def random_matrices(name, kind, per_size, seed=0, sizes=range(7), pool=_pool):
+    """For each n in sizes, per_size raw, closed and closed-then-perturbed
+    matrices over the lattice, drawn from pool(L), as categories (valid or not)."""
     rng, L = random.Random("%s/%s/%d" % (name, kind, seed)), get_lattice(name, kind)
-    pool = _pool(L)
-    for n in range(7):
+    pool = pool(L)
+    for n in sizes:
         for _ in range(per_size):
             raw = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
             closed = _closed(L, raw)
@@ -345,6 +363,61 @@ def test_enriched_yoneda_lemma(name, kind):
         valid += is_category
         assert is_category == (residuals(L, C.hom) == tuple(zip(*C.hom))), C.hom
     assert 0 < valid < 7 * 60 * 3
+
+
+def reference_validate_category(C):
+    """`validate_category` as the triple loop the residuation kernel replaced:
+    the identity law at every a, then the composition law at every (a, b, c)."""
+    L = C.lattice
+    bad = []
+    for a in C.objects:
+        if not L.leq(L.unit, C.hom_at(a, a)):
+            bad.append("identity law fails at %s: unit %s is not below hom %s"
+                       % (a, format_scalar(L.unit), format_scalar(C.hom_at(a, a))))
+    for a in C.objects:
+        for b in C.objects:
+            for c in C.objects:
+                lhs = L._tensor(C.hom_at(a, b), C.hom_at(b, c))
+                rhs = C.hom_at(a, c)
+                if not L.leq(lhs, rhs):
+                    bad.append(
+                        "composition law fails at (%s, %s, %s): %s is not below %s"
+                        % (a, b, c, format_scalar(lhs), format_scalar(rhs)))
+    return bad
+
+
+@pytest.mark.parametrize("name,kind", LATTICE_KINDS)
+def test_validate_category_matches_reference(name, kind):
+    reports = []
+    for C in random_matrices(name, kind, 12, seed=2, sizes=range(9), pool=_wide_pool):
+        reports.append(validate_category(C))
+        assert reports[-1] == reference_validate_category(C), C.hom
+    # valid matrices, and reports whose composition failures span several (a, b) pairs
+    pairs = [{tuple(m.split(", ")[:2]) for m in r if m.startswith("composition")}
+             for r in reports]
+    assert [] in reports and max(map(len, pairs)) > 1
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+def test_validate_category_matches_reference_at_n32(kind):
+    # closed: a hidden potential plus nonnegative slack, so no negative cycle
+    # collapses it; broken: a few entries of a closed matrix overwritten
+    rng, L = random.Random("n32/" + kind), get_lattice("kbar", kind)
+    finite = [x for x in _wide_pool(L) if x not in (NEG_INF, POS_INF)]
+    slack = [x for x in finite if x >= 0]
+    for _ in range(2):
+        pot = [rng.choice(finite) for _ in range(32)]
+        closed = _closed(L, [[POS_INF if rng.random() < 0.25
+                              else ext_add(ext_sub(q, p), rng.choice(slack)) for q in pot]
+                             for p in pot])
+        broken = [list(row) for row in closed]
+        for x in [NEG_INF] + rng.sample(finite, 3):
+            broken[rng.randrange(32)][rng.randrange(32)] = x
+        for rows, valid in ((closed, True), (broken, False)):
+            C = make_category(L, ["o%d" % i for i in range(32)], rows)
+            bad = validate_category(C)
+            assert bad == reference_validate_category(C)
+            assert (bad == []) == valid
 
 
 def test_residuals_examples():

@@ -43,7 +43,8 @@ def test_cat_to_lcs_rejects_invalid():
 def test_cat_to_lcs_needs_kbar():
     C = make_category(get_lattice("two"), ("a",), [[TRUE]])
     assert validate_category(C) == []
-    with pytest.raises(ValueError, match="^duality needs a category over kbar$"):
+    with pytest.raises(ValueError,
+                       match=r"^an L-convex set needs the kbar lattice, not TwoLattice\(int\)$"):
         cat_to_lcs(C)
 
 
