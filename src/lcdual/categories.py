@@ -155,19 +155,20 @@ def identity_functor(C):
 def _index_maps(src, dst, leq):
     """Every index map c that passes the increasing condition, lexicographic,
     yielded one level at a time: a level is a pair (prefix, tails), the
-    positions of every object but the last and the last object's values as
-    1-tuples in ascending order, so its maps are prefix + t for t in tails.
-    Every level has at least one tail; an empty src has the one level
-    ((), ((),)).
+    positions of every object but the last two and the last two objects'
+    positions as (y, z) pairs in lexicographic order, so its maps are
+    prefix + t for t in tails.  Every level has at least one tail; a
+    one-object src has at most the one level ((), its values as 1-tuples),
+    and an empty src has the one level ((), ((),)).
 
     Depth-first search with forward checking (Haralick & Elliott 1980) over
     bitmask domains (Ullmann 1976): objects are assigned in src order,
     values tried lowest bit first, and each assignment narrows every later
     object's domain with one AND to the values compatible with it both ways;
-    an empty domain cuts the branch.  Once every object but the last is
-    assigned, each value left in the last object's domain completes a map,
-    so that level is handed over whole; its tails tuple is built once per
-    distinct last-object mask and shared by every level with that mask.
+    an empty domain cuts the branch.  Once every object but the last two is
+    assigned, the maps left depend only on those two objects' domains, so
+    that level is handed over whole; its tails tuple is built once per
+    distinct pair of domain masks and shared by every level with that pair.
     leq runs only to tabulate, once per distinct src value and dst entry:
     at most len(set(src values)) * |dst|^2 calls.
     """
@@ -189,21 +190,26 @@ def _index_maps(src, dst, leq):
     # domains[i]: every object's domain after assigning objects 0..i-1; at
     # first, object i may take x iff leq(src[i][i], dst[x][x])
     domains = [[firsts[src[i][i]] for i in range(n)]]
-    last = n - 1
-    tails = {}  # a last-object domain mask -> its values as 1-tuples, lowest first
+    if n == 1:
+        if domains[0][0]:
+            yield (), tuple((y,) for y in _bits(domains[0][0]))
+        return
+    to_last = both[-2][-1]  # to_last[y]: the z object n - 1 may take beside y at n - 2
+    tables = {}  # (mask of object n - 2, mask of object n - 1) -> their (y, z) pairs
 
-    def values(mask):
-        t = tails.get(mask)
+    def pairs(a, b):
+        t = tables.get((a, b))
         if t is None:
-            t = tails[mask] = tuple((y,) for y in range(mask.bit_length()) if mask >> y & 1)
+            t = tables[a, b] = tuple((y, z) for y in _bits(a) for z in _bits(b & to_last[y]))
         return t
 
-    if last == 0:
-        if domains[0][0]:
-            yield (), values(domains[0][0])
+    if n == 2:
+        t = pairs(*domains[0])
+        if t:
+            yield (), t
         return
-    c = [0] * last
-    to_last = both[last - 1][-1]
+    leaf = n - 3  # the last object assigned before a level is handed over
+    c = [0] * (n - 2)
     untried = [domains[0][0]]  # untried[i]: the values of object i not yet tried
     while untried:
         i = len(untried) - 1
@@ -215,10 +221,11 @@ def _index_maps(src, dst, leq):
         low = rest & -rest
         untried[i] = rest ^ low
         c[i] = x = low.bit_length() - 1
-        if i == last - 1:
-            tail = domains[i][last] & to_last[x]
-            if tail:
-                yield tuple(c), values(tail)
+        if i == leaf:
+            d, step = domains[i], both[i]
+            t = pairs(d[-2] & step[0][x], d[-1] & step[1][x])
+            if t:
+                yield tuple(c), t
             continue
         narrowed = domains[i][:]
         for k, step in enumerate(both[i], i + 1):
@@ -228,6 +235,11 @@ def _index_maps(src, dst, leq):
         else:
             domains.append(narrowed)
             untried.append(narrowed[i + 1])
+
+
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    return [y for y in range(mask.bit_length()) if mask >> y & 1]
 
 
 def _image(F):
@@ -281,14 +293,15 @@ def _functors(domain, codomain, levels):
 
     Each level (prefix, tails) of _index_maps is checked whole under the
     position rule that VFunctor.__post_init__ applies: the prefix once per
-    level, each tails tuple once per distinct tuple.  A tails tuple is
-    remembered by value, and an equal tuple that is not the one checked is
-    checked again, since (True,) and (1.0,) equal (1,).  The results are
-    then built in C-level passes over the flat list of positions, with no
-    Python call per result.
+    level as the positions of every object but the last two (or fewer), each
+    tails tuple once per distinct tuple as those last positions.  A tails
+    tuple is remembered by value, and an equal tuple that is not the one
+    checked is checked again, since (True, 0) and (1.0, 0) equal (1, 0).
+    The results are then built in C-level passes over the flat list of
+    positions, with no Python call per result.
     """
     m = len(codomain.objects)
-    width = min(len(domain.objects), 1)  # every map's last position, or none
+    width = min(len(domain.objects), 2)  # every map's last two positions, or fewer
     head = len(domain.objects) - width
     checked = {}  # tails -> the tails tuple that passed the check
     ps = []

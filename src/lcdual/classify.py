@@ -131,8 +131,6 @@ def render_region(D, bound=3):
     """
     if len(D.index) != 2:
         raise ValueError("rendering needs exactly two indices")
-    if D.scalar_kind != "int":
-        raise ValueError("rendering needs the integer scalar kind")
     members = set(grid_members(D, bound))
     axis = get_lattice("kbar").carrier_grid(bound)
     border = (NEG_INF, POS_INF)

@@ -48,6 +48,8 @@ def lcs_to_cat(D):
     p, so this is the full subcategory of the member space on the
     canonical points.
     """
+    if not isinstance(D, LConvexSet):
+        raise ValueError("lcs_to_cat needs an L-convex set, not %s" % type(D).__name__)
     require_category(D)
     return VCategory(D.lattice, tuple(PI_PREFIX + v for v in D.index), D.dbm)
 

@@ -237,5 +237,5 @@ def test_render_arity_check():
 
 def test_render_needs_the_int_kind():
     D = cat_to_lcs(kcat([[0, 1], [1, 0]], kind="real"))
-    with pytest.raises(ValueError, match="^rendering needs the integer scalar kind$"):
+    with pytest.raises(ValueError, match="^grid enumeration needs the integer scalar kind$"):
         render_region(D, 1)

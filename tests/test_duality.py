@@ -69,6 +69,15 @@ def test_lcs_to_cat_labels_and_matrix():
     assert best == 1
 
 
+def test_lcs_to_cat_refuses_a_plain_category():
+    # a kbar VCategory has no L-convex names; both directions refuse it
+    A = kcat([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="^lcs_to_cat needs an L-convex set, not VCategory$"):
+        lcs_to_cat(A)
+    with pytest.raises(ValueError, match="^lcs_to_cat needs an L-convex set, not VCategory$"):
+        hom_to_functor(identity_functor(A))
+
+
 def test_roundtrips_small():
     for rows in ([[0]], [[NINF]], [[0, 3], [4, 0]], [[NINF, NINF], [INF, 0]]):
         A = kcat(rows, labels=tuple("vw"[:len(rows)]))

@@ -7,7 +7,8 @@ independently: functors by the per-pair increasing condition, homs by
 pulling back grid members and canonical points.  A work bound catches a
 search that calls the order more than once per distinct source value and
 target entry, and the same test pins the search's levels: non-empty, each
-a run of maps that differ only in their last position.
+a run of maps that differ only in their last two positions, with one tails
+tuple shared by every level whose tails are equal.
 """
 
 import copy
@@ -30,6 +31,7 @@ from lcdual.duality import enumerate_homs, cat_to_lcs
 
 from conftest import INF, NINF, kcat
 from test_lconvex import lcs, _grid_by_member
+from test_classify import plain_law_ok
 
 
 def oracle_functors(A, B):
@@ -149,6 +151,7 @@ def test_search_work_is_bounded_by_the_condition_table(lattice):
     rng = random.Random("work/" + lattice)
     pairs = [(random_category(rng, L, rng.randint(0, 4), "abcd"),
               random_category(rng, L, rng.randint(0, 5), "vwxyz")) for _ in range(30)]
+    collapsed = None
     if lattice == "kbar":
         collapsed = kcat([[NINF] * 4] * 4)
         pairs.append((collapsed, kcat([[NINF] * 5] * 5)))
@@ -160,17 +163,22 @@ def test_search_work_is_bounded_by_the_condition_table(lattice):
             return L.leq(s, d)
 
         levels = list(_index_maps(A.hom, B.hom, leq))
-        got = []
+        n = len(A.objects)
+        got, shared = [], {}
         for prefix, tails in levels:
             assert tails
             if A.objects:
-                assert len(prefix) == len(A.objects) - 1
-                assert all(len(t) == 1 for t in tails)
+                assert len(prefix) == max(n - 2, 0)
+                assert all(len(t) == min(n, 2) for t in tails)
                 assert list(tails) == sorted(set(tails))
             else:
                 assert (prefix, tails) == ((), ((),))
+            assert shared.setdefault(tails, tails) is tails
             got += [prefix + t for t in tails]
         assert len(levels) == len({prefix for prefix, _ in levels})
+        assert len(levels) <= len(B.objects) ** max(n - 2, 0)
+        if A is collapsed:
+            assert len(levels) == 5 ** 2 and len(shared) == 1
         assert [tuple(B.objects[j] for j in c) for c in got] == oracle_functors(A, B)
         assert len(calls) <= len({v for row in A.hom for v in row}) * len(B.objects) ** 2
 
@@ -207,13 +215,16 @@ def _bad_levels(levels):
     """Each way to spoil one level of levels, at the first, a middle and the last level."""
     for where in (0, len(levels) // 2, len(levels) - 1):
         prefix, tails = levels[where]
-        # the tail (1,) where there is one: spoiled by True or 1.0, the level
-        # still equals the one the search emits, by value
-        k = tails.index((1,)) if (1,) in tails else len(tails) - 1
+        # the tail (1, 1) where there is one: spoiled by True or 1.0 in either
+        # coordinate, the level still equals the one the search emits, by value
+        k = tails.index((1, 1)) if (1, 1) in tails else len(tails) - 1
+        y, z = tails[k]
         spoiled = [(prefix[:-1] + (bad,), tails) for bad in BAD_ENTRIES]
-        spoiled += [(prefix, tails[:k] + ((bad,),) + tails[k + 1:]) for bad in BAD_ENTRIES]
+        spoiled += [(prefix, tails[:k] + (t,) + tails[k + 1:])
+                    for bad in BAD_ENTRIES for t in ((bad, z), (y, bad))]
         spoiled += [(prefix[:-1], tails), (prefix + (0,), tails),  # short and long prefix
-                    (prefix, tails[:1] + ((0, 0),) + tails[1:])]  # a 2-tuple tail
+                    (prefix, tails[:1] + ((0,),) + tails[1:]),  # a 1-tuple tail
+                    (prefix, tails[:1] + ((0, 0, 0),) + tails[1:])]  # a 3-tuple tail
         for level in spoiled:
             yield levels[:where] + [level] + levels[where + 1:]
 
@@ -233,7 +244,7 @@ def test_every_search_result_is_checked(monkeypatch, kind):
             with pytest.raises(ValueError, match="^a functor needs one codomain index per domain object$"):
                 search()
             cases += 1
-    assert cases == 3 * 11 * 2
+    assert cases == 3 * 16 * 2
 
 
 def _bulk_built_cases():
@@ -268,20 +279,38 @@ def test_bulk_built_functors_equal_constructed_ones():
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_and_two_object_domains_match_oracle(lattice, n):
-    # the last object's values are emitted as one level; with one object
-    # that level is the first, with two it hangs off the first
+    # the last two objects' values are emitted as one level; with one or
+    # two objects that level is the first, with three it hangs off the first
     L = get_lattice(lattice)
     rng = random.Random("last-level/%s/%d" % (lattice, n))
     kept = rejected = 0
     for _ in range(40):
-        A = random_category(rng, L, n, ("a", "b"))
+        A = random_category(rng, L, n, ("a", "b", "c"))
         B = random_category(rng, L, rng.randint(1, 6), "uvwxyz")
         want = oracle_functors(A, B)
         assert functor_images(A, B) == want
         kept += len(want)
         rejected += len(B.objects) ** n - len(want)
+    assert kept and rejected
+
+
+def test_every_pair_of_two_object_categories_on_the_grid():
+    # bounded-exhaustive: every valid 2-object kbar category with entries in
+    # {-inf, -1, 0, 1, inf}, as domain and as codomain, against the oracle;
+    # validity is decided on plain numbers, not by the library
+    cats = [kcat(rows) for m in product([NINF, -1, 0, 1, INF], repeat=4)
+            for rows in [(m[:2], m[2:])] if plain_law_ok(rows)]
+    assert len(cats) == 25
+    kept = rejected = 0
+    for A in cats:
+        for B in cats:
+            want = oracle_functors(A, B)
+            assert functor_images(A, B) == want
+            assert hom_images(cat_to_lcs(B), cat_to_lcs(A)) == want
+            kept += len(want)
+            rejected += 4 - len(want)
     assert kept and rejected
 
 
