@@ -13,7 +13,7 @@ views are read off these tuples.
 
 from dataclasses import dataclass
 from collections import deque
-from itertools import compress, repeat
+from itertools import repeat
 
 from .scalars import format_scalar
 from .lattices import EnrichingLattice
@@ -105,6 +105,13 @@ def _check_positions(positions, n, m):
             raise ValueError(_BAD_POSITIONS)
 
 
+def _check_lattices(A, B):
+    """Refuse a map between categories over different lattices; kbar's int and real kinds mix."""
+    if A.lattice.name != B.lattice.name:
+        raise ValueError("a map needs one lattice on both sides, not %s and %s"
+                         % (A.lattice.name, B.lattice.name))
+
+
 @dataclass(frozen=True, slots=True)
 class VFunctor:
     domain: VCategory
@@ -113,6 +120,7 @@ class VFunctor:
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(self.positions))
+        _check_lattices(self.domain, self.codomain)
         _check_positions(self.positions, len(self.domain.objects), len(self.codomain.objects))
 
     @property
@@ -169,27 +177,34 @@ def _index_maps(src, dst, leq):
     assigned, the maps left depend only on those two objects' domains, so
     that level is handed over whole; its tails tuple is built once per
     distinct pair of domain masks and shared by every level with that pair.
-    leq runs only to tabulate, once per distinct src value and dst entry:
-    at most len(set(src values)) * |dst|^2 calls.
+    leq runs only to tabulate, in one C-level pass over dst's entries per
+    distinct src value: exactly len(set(src values)) * |dst|^2 calls, each
+    of which must return a bool, as every lattice's leq does.  A pass is
+    kept as |dst|^2 bytes and packed into ints of |dst|^2 bits only where
+    the search reads it, so the table stays O(|dst|^2) per value.
     """
     n = len(src)
     if n == 0:
         yield (), ((),)
         return
-    powers = [1 << y for y in range(len(dst))]
-    rows, cols, firsts = {}, {}, {}
-    for s in {s for row in src for s in row}:
-        ok = [[leq(s, d) for d in drow] for drow in dst]
-        rows[s] = [sum(compress(powers, r)) for r in ok]
-        cols[s] = [sum(compress(powers, col)) for col in zip(*ok)]
-        firsts[s] = sum(compress(powers, [r[x] for x, r in enumerate(ok)]))
+    m = len(dst)
+    flat = [d for drow in dst for d in drow]  # dst[x][y] at m*x + y
+    ok = {s: bytes(map(leq, repeat(s), flat)) for s in {s for row in src for s in row}}
+    above = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    # bit m*x + y of rows[s] is leq(s, dst[x][y]), for s above src's diagonal,
+    # and of cols[s] is leq(s, dst[y][x]), for s below it
+    rows = {s: _packed(ok[s]) for s in {src[i][k] for i, k in above}}
+    cols = {s: _packed(b"".join([ok[s][x::m] for x in range(m)]))
+            for s in {src[k][i] for i, k in above}}
+    full = (1 << m) - 1
     # both[i][k - i - 1][x], for k > i only: the y with leq(src[i][k], dst[x][y])
     # and leq(src[k][i], dst[y][x]); both[i][-1] is always k = n - 1
-    both = [[[r & col for r, col in zip(rows[src[i][k]], cols[src[k][i]])]
-             for k in range(i + 1, n)] for i in range(n)]
+    both = [[[pair >> m * x & full for x in range(m)]
+             for pair in [rows[src[i][k]] & cols[src[k][i]] for k in range(i + 1, n)]]
+            for i in range(n)]
     # domains[i]: every object's domain after assigning objects 0..i-1; at
     # first, object i may take x iff leq(src[i][i], dst[x][x])
-    domains = [[firsts[src[i][i]] for i in range(n)]]
+    domains = [[_packed(ok[src[i][i]][::m + 1]) for i in range(n)]]
     if n == 1:
         if domains[0][0]:
             yield (), tuple((y,) for y in _bits(domains[0][0]))
@@ -237,9 +252,22 @@ def _index_maps(src, dst, leq):
             untried.append(narrowed[i + 1])
 
 
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _packed(flags):
+    """The int whose bit k is flags[k], for bools or 0/1 bytes, in C-level passes."""
+    return int(bytes(flags).translate(_FLAG_DIGITS)[::-1] or b"0", 2)
+
+
 def _bits(mask):
-    """The set bits of mask, lowest first."""
-    return [y for y in range(mask.bit_length()) if mask >> y & 1]
+    """The set bits of mask, lowest first, one step per set bit."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def _image(F):
@@ -285,6 +313,7 @@ def canonical_leq(F, G):
 
 def enumerate_functors(A, B):
     """All functors A -> B, lexicographic in B's object order."""
+    _check_lattices(A, B)
     return _functors(A, B, _index_maps(A.hom, B.hom, A.lattice.leq))
 
 

@@ -100,6 +100,25 @@ def test_functor_predicates():
     assert not is_functor(swap)
 
 
+def test_is_isomorphism_needs_both_halves():
+    # fully faithful but not onto: two equal objects sent to one
+    collapse = make_functor(kcat([[0, 0], [0, 0]]), kcat([[0]], labels=("u",)),
+                            {"a": "u", "b": "u"})
+    assert is_fully_faithful(collapse) and not is_isomorphism(collapse)
+    # bijective but not fully faithful: a far pair sent to a near one
+    closer = make_functor(kcat([[0, INF], [INF, 0]]), kcat([[0, 5], [5, 0]]), {"a": "a", "b": "b"})
+    assert is_functor(closer) and not is_fully_faithful(closer) and not is_isomorphism(closer)
+
+
+def test_compose_functors_through_an_equal_middle():
+    # the middle categories need only be equal, not the same object
+    C, twin = kcat([[0, INF], [INF, 0]]), kcat([[0, INF], [INF, 0]])
+    assert C == twin and C is not twin
+    swap = make_functor(C, C, {"a": "b", "b": "a"})
+    into_twin = make_functor(C, twin, {"a": "b", "b": "a"})
+    assert compose_functors(swap, into_twin).positions == (0, 1)
+
+
 def test_compose_functors():
     C = kcat([[0, INF], [INF, 0]])
     ident = identity_functor(C)
@@ -444,6 +463,32 @@ def test_mismatched_functors_rejected():
     F = make_functor(C, D, {"a": "a", "b": "a"})
     with pytest.raises(ValueError, match="^codomain of the inner functor must be the outer domain$"):
         compose_functors(F, F)
+    # parallel means both ends: one shared end is not enough
+    E = kcat([[0]], labels=("e",))
+    same_domain = make_functor(C, E, {"a": "e", "b": "e"})
+    same_codomain = make_functor(kcat([[0]], labels=("c",)), D, {"c": "a"})
+    for G in (same_domain, same_codomain):
+        with pytest.raises(ValueError, match="^functors are not parallel$"):
+            functor_hom(F, G)
+
+
+def test_maps_between_lattices_are_refused():
+    A = kcat([[0, 1], [2, 0]])
+    others = [make_category(get_lattice("two"), ("t",), [[TRUE]]),
+              make_category(get_lattice("kbar_plus"), ("p",), [[0]])]
+    for B in others:
+        for X, Y in ((A, B), (B, A)):
+            msg = "^a map needs one lattice on both sides, not %s and %s$" % (
+                X.lattice.name, Y.lattice.name)
+            for build in (lambda: enumerate_functors(X, Y),
+                          lambda: VFunctor(X, Y, (0,) * len(X.objects)),
+                          lambda: make_functor(X, Y, dict.fromkeys(X.objects, Y.objects[0]))):
+                with pytest.raises(ValueError, match=msg):
+                    build()
+    # kbar's int and real kinds still mix
+    R = make_category(get_lattice("kbar", "real"), ("r",), [[Decimal(0)]])
+    assert [F.positions for F in enumerate_functors(A, R)] == [(0, 0)]
+    assert [F.positions for F in enumerate_functors(R, A)] == [(0,), (1,)]
 
 
 def test_vfunctor_rejects_bad_positions():

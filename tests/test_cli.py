@@ -501,6 +501,12 @@ def test_laws(capsys):
     assert main(["laws", "nope"]) == 2
 
 
+def test_laws_at_bound_zero(capsys):
+    # --bound 0 is a valid bound: the grid is the infinities and the unit
+    assert main(["laws", "kbar", "--bound", "0"]) == 0
+    assert capsys.readouterr() == ("violations: 0\n", "")
+
+
 def test_laws_prints_each_violation(capsys, monkeypatch):
     monkeypatch.setattr(cli, "get_lattice", lambda name: _TwoHomNegatesTarget())
     want = law_violations(_TwoHomNegatesTarget(), 2)

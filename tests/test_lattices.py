@@ -22,6 +22,27 @@ def test_law_suite_clean(name):
     assert law_violations(L, bound=3) == []
 
 
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("name", ["kbar", "kbar_plus", "kbar_plus_cart"])
+def test_numeric_leq_is_the_reverse_usual_order(name, kind):
+    L = get_lattice(name, kind)
+    mixes = [0, 2, -2, Decimal(0), Decimal("1.5"), Decimal(-3), POS_INF, NEG_INF]
+    for values in (L.carrier_grid(3), mixes):
+        for x in values:
+            for y in values:
+                assert L.leq(x, y) is (x >= y)
+    assert L.leq(POS_INF, 7) and not L.leq(7, POS_INF) and L.leq(Decimal("1.5"), 1)
+
+
+def test_lattices_equal_by_name_and_kind():
+    assert get_lattice("kbar") == get_lattice("kbar", "int")
+    assert get_lattice("kbar_plus") != get_lattice("kbar_plus_cart")  # only the name differs
+    assert get_lattice("kbar") != get_lattice("kbar", "real")  # only the kind differs
+    plus, cart = (make_category(get_lattice(name), ("a",), [[0]])
+                  for name in ("kbar_plus", "kbar_plus_cart"))
+    assert plus.objects == cart.objects and plus.hom == cart.hom and plus != cart
+
+
 def _kbar_tensor(x, y, zero):
     if POS_INF in (x, y):
         return POS_INF

@@ -4,11 +4,11 @@ Both searches run on one shared index-map engine, so comparing them with
 each other (acceptance criterion 4) cannot catch a fault in that engine.
 Here every index map is tried and checked by the definitions, written out
 independently: functors by the per-pair increasing condition, homs by
-pulling back grid members and canonical points.  A work bound catches a
-search that calls the order more than once per distinct source value and
-target entry, and the same test pins the search's levels: non-empty, each
-a run of maps that differ only in their last two positions, with one tails
-tuple shared by every level whose tails are equal.
+pulling back grid members and canonical points.  A work count holds the
+search to exactly one order call per distinct source value and target
+entry, and the same test pins the search's levels: non-empty, each a run
+of maps that differ only in their last two positions, with one tails tuple
+shared by every level whose tails are equal.
 """
 
 import copy
@@ -22,7 +22,9 @@ import pytest
 
 from lcdual.lattices import get_lattice
 from lcdual import categories
-from lcdual.categories import VFunctor, make_category, enumerate_functors, _index_maps
+from lcdual.categories import (
+    VFunctor, make_category, enumerate_functors, _index_maps, _packed, _bits,
+)
 from lcdual.scalars import POS_INF, fin
 from lcdual.lconvex import (
     closure, member, grid_members, canonical_points, make_lcs,
@@ -180,7 +182,18 @@ def test_search_work_is_bounded_by_the_condition_table(lattice):
         if A is collapsed:
             assert len(levels) == 5 ** 2 and len(shared) == 1
         assert [tuple(B.objects[j] for j in c) for c in got] == oracle_functors(A, B)
-        assert len(calls) <= len({v for row in A.hom for v in row}) * len(B.objects) ** 2
+        assert len(calls) == len({v for row in A.hom for v in row}) * len(B.objects) ** 2
+
+
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 200])
+def test_packed_flags_read_back_through_bits(length):
+    rng = random.Random("packed/%d" % length)
+    for flags in ([False] * length, [True] * length,
+                  [rng.random() < 0.5 for _ in range(length)]):
+        mask = _packed(flags)
+        assert _bits(mask) == [k for k, f in enumerate(flags) if f]
+        assert _packed(bytes(flags)) == mask < 1 << length
+    assert _bits(0) == []
 
 
 def asymmetric_metric(rng, n):
