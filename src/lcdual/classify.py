@@ -31,35 +31,29 @@ FAMILIES = (
 )
 
 
+# the family of each infinity pattern of a canonical matrix, read row by
+# row: '-' for -inf, '+' for inf, 'f' for a finite entry (a diagonal 0 too)
+_FAMILY_OF_PATTERN = {
+    "f++f": WHOLE_PLANE, "ff+f": HALF_PLANE, "ffff": BAND, "f-+f": ORTHOGONAL_LINES,
+    "-++f": PARALLEL_LINES, "-+-f": LINE_AND_POINT_F, "--+f": LINE_AND_POINT_G,
+    "-++-": FOUR_POINTS, "--+-": THREE_POINTS, "----": TWO_POINTS,
+}
+
+
 @dataclass(frozen=True)
 class TwoPointShape:
     family: str
-    params: tuple  # () except: (s,) for HalfPlane, (s, t) for Band
+    params: tuple  # the canonical matrix's finite off-diagonal entries, in order
     swapped: bool  # whether the swap was applied to reach the canonical form
 
     def describe(self):
-        out = self.family
-        if self.family == HALF_PLANE:
-            out += " s=%s" % format_scalar(self.params[0])
-        elif self.family == BAND:
-            out += " s=%s t=%s" % tuple(format_scalar(p) for p in self.params)
-        if self.swapped:
-            out += " (indices swapped)"
-        return out
-
-
-def _swap(m):
-    return ((m[1][1], m[1][0]), (m[0][1], m[0][0]))
-
-
-def _flat(m):
-    return (m[0][0], m[0][1], m[1][0], m[1][1])
+        out = self.family + "".join(
+            " %s=%s" % (name, format_scalar(p)) for name, p in zip("st", self.params))
+        return out + " (indices swapped)" if self.swapped else out
 
 
 def classify_two_point(m, scalar_kind="int"):
     """Classify a 2x2 matrix; returns a TwoPointShape, or None if invalid."""
-    if len(m) != 2 or any(len(r) != 2 for r in m):
-        raise ValueError("expected a 2x2 matrix")
     cat = VCategory(get_lattice("kbar", scalar_kind), ("v", "w"), m)
     return None if validate_category(cat) else two_point_shape(cat.hom)
 
@@ -68,40 +62,17 @@ def two_point_shape(m):
     """The TwoPointShape of a 2x2 kbar matrix whose laws hold (not checked here).
 
     The swap symmetry is normalized toward the lexicographically smaller
-    matrix; the shape records whether the swap was applied.
+    matrix (the swap reverses the entries read row by row); the shape
+    records whether the swap was applied.  The family is the canonical
+    matrix's infinity pattern, and the params are its finite off-diagonal
+    entries.
     """
-    swapped_m = _swap(m)
-    if _flat(swapped_m) < _flat(m):
-        canonical, swapped = swapped_m, True
-    else:
-        canonical, swapped = m, False
-    d00, d01, d10, d11 = _flat(canonical)
-
-    if d00 == 0 and d11 == 0:
-        if d01 == POS_INF and d10 == POS_INF:
-            return TwoPointShape(WHOLE_PLANE, (), swapped)
-        if d01 == NEG_INF or d10 == NEG_INF:
-            return TwoPointShape(ORTHOGONAL_LINES, (), swapped)
-        if d01 == POS_INF or d10 == POS_INF:
-            s = d01 if d01 != POS_INF else d10
-            return TwoPointShape(HALF_PLANE, (s,), swapped)
-        return TwoPointShape(BAND, (d01, d10), swapped)
-    diag = sorted((d00, d11))
-    if diag == [NEG_INF, 0]:
-        # -inf sorts below 0, so the canonical form puts the -inf point
-        # first: a runs from the 0-point to it, b back
-        a, b = d10, d01
-        if a == POS_INF and b == POS_INF:
-            return TwoPointShape(PARALLEL_LINES, (), swapped)
-        if a == NEG_INF:
-            return TwoPointShape(LINE_AND_POINT_F, (), swapped)
-        return TwoPointShape(LINE_AND_POINT_G, (), swapped)
-    # both diagonals -inf
-    if d01 == POS_INF and d10 == POS_INF:
-        return TwoPointShape(FOUR_POINTS, (), swapped)
-    if d01 == NEG_INF and d10 == NEG_INF:
-        return TwoPointShape(TWO_POINTS, (), swapped)
-    return TwoPointShape(THREE_POINTS, (), swapped)
+    flat = (*m[0], *m[1])
+    swapped = flat[::-1] < flat
+    canonical = flat[::-1] if swapped else flat
+    pattern = "".join(["-" if x == NEG_INF else "+" if x == POS_INF else "f" for x in canonical])
+    params = tuple(x for x in canonical[1:3] if NEG_INF < x < POS_INF)
+    return TwoPointShape(_FAMILY_OF_PATTERN[pattern], params, swapped)
 
 
 def exhaustive_partition(grid_bound=2):

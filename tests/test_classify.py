@@ -1,11 +1,12 @@
 import random
+from decimal import Decimal
 from itertools import product
 
 import pytest
 
 from lcdual.scalars import fin
 from lcdual.classify import (
-    FAMILIES, classify_two_point, exhaustive_partition, render_region,
+    FAMILIES, _FAMILY_OF_PATTERN, classify_two_point, exhaustive_partition, render_region,
     WHOLE_PLANE, HALF_PLANE, BAND, ORTHOGONAL_LINES, PARALLEL_LINES,
     LINE_AND_POINT_F, LINE_AND_POINT_G, FOUR_POINTS, THREE_POINTS, TWO_POINTS,
 )
@@ -72,7 +73,7 @@ def test_line_and_point_families_distinct():
 def test_invalid_matrices():
     assert classify_two_point(m([[0, 1], [-2, 0]])) is None
     assert classify_two_point(m([[1, INF], [INF, 0]])) is None
-    with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
+    with pytest.raises(ValueError, match="^hom matrix shape does not match the object list$"):
         classify_two_point(m([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
 
 
@@ -143,11 +144,14 @@ def test_exhaustive_partition():
     assert exhaustive_partition(2) == report
 
 
+def pattern(xs):
+    """xs written as a pattern: '+' for inf, '-' for -inf, 'f' for a finite value."""
+    return "".join("+" if x == INF else "-" if x == NINF else "f" for x in xs)
+
+
 def member_patterns(rows, bound):
-    """The grid members at this bound, each written as a pattern: '+' for an
-    inf coordinate, '-' for -inf, 'f' for a finite one."""
-    return {"".join("+" if x == INF else "-" if x == NINF else "f" for x in p)
-            for p in grid_members(cat_to_lcs(kcat(rows)), bound)}
+    """The grid members at this bound, each written as a pattern."""
+    return {pattern(p) for p in grid_members(cat_to_lcs(kcat(rows)), bound)}
 
 
 def swap_key(patterns):
@@ -175,12 +179,18 @@ def test_member_patterns_determine_the_family(bound):
     # the set-level oracle: a family is its members' shape, read off grid_members
     # at bound + 1 (room for every finite bound of the matrix to be attained)
     grid = [NINF] + list(range(-bound, bound + 1)) + [INF]
-    family_of, key_of, params = {}, {}, 0
+    family_of, key_of, params, canonical_patterns = {}, {}, 0, set()
     for cells in product(grid, repeat=4):
         rows = (cells[:2], cells[2:])
         shape = classify_two_point(m(rows))
         if shape is None:
             continue
+        canonical_patterns.add(pattern(cells[::-1] if shape.swapped else cells))
+        # the real kind through the 10x image: same family and swap, params / 10
+        tenth = [x if x in (INF, NINF) else Decimal(x) / 10 for x in cells]
+        real = classify_two_point((tenth[:2], tenth[2:]), "real")
+        assert (real.family, real.swapped) == (shape.family, shape.swapped), rows
+        assert real.params == tuple(Decimal(p) / 10 for p in shape.params), rows
         patterns = member_patterns(rows, bound + 1)
         key = swap_key(patterns)
         assert family_of.setdefault(key, shape.family) == shape.family, rows
@@ -196,6 +206,8 @@ def test_member_patterns_determine_the_family(bound):
             assert shape.params == extremes[:len(shape.params)], rows
             params += 1
     assert len(family_of) == len(key_of) == len(FAMILIES)
+    # the pattern table has no dead row and misses no pattern
+    assert canonical_patterns == set(_FAMILY_OF_PATTERN)
     assert params == {2: 25, 3: 42}[bound]
 
 

@@ -93,6 +93,27 @@ def test_roundtrips_random():
         assert roundtrip_cat(lcs_to_cat(D))
 
 
+# results of a round trip with the right labels and another matrix, and
+# with the right matrix and other labels: each must fail the round trip
+ROUNDTRIP_ROWS, OTHER_ROWS = [[0, 1], [2, 0]], [[0, 1], [3, 0]]
+PI_LABELS, PLAIN_LABELS = ("pi_v", "pi_w"), ("v", "w")
+HALF_RIGHT = ((PI_LABELS, OTHER_ROWS), (PLAIN_LABELS, ROUNDTRIP_ROWS))
+
+
+@pytest.mark.parametrize("labels, rows", HALF_RIGHT)
+def test_roundtrip_cat_checks_labels_and_matrix(monkeypatch, labels, rows):
+    B = kcat(rows, labels=labels)
+    monkeypatch.setattr("lcdual.duality.lcs_to_cat", lambda D: B)
+    assert not roundtrip_cat(kcat(ROUNDTRIP_ROWS, labels=PLAIN_LABELS))
+
+
+@pytest.mark.parametrize("labels, rows", HALF_RIGHT)
+def test_roundtrip_lcs_checks_index_and_matrix(monkeypatch, labels, rows):
+    E = cat_to_lcs(kcat(rows, labels=labels))
+    monkeypatch.setattr("lcdual.duality.cat_to_lcs", lambda C: E)
+    assert not roundtrip_lcs(lcs(ROUNDTRIP_ROWS))
+
+
 def test_is_homomorphism_band_embedding():
     thin = lcs([[0, 1], [1, 0]])
     thick = lcs([[0, 2], [2, 0]])
