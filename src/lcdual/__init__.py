@@ -6,10 +6,10 @@ from .scalars import (
     ext_add, ext_sub,
     parse_scalar, format_scalar,
 )
-from .lattices import EnrichingLattice, get_lattice, check_adjointness, law_violations
+from .lattices import EnrichingLattice, get_lattice, law_violations
 from .categories import (
     VCategory, VFunctor, Presheaf, InvalidCategory, require_category,
-    make_category, make_functor, make_presheaf, identity_functor,
+    make_functor, make_presheaf, identity_functor,
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
     compose_functors, functor_hom, canonical_leq, enumerate_functors,
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,

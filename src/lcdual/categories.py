@@ -42,9 +42,6 @@ class VCategory:
         return self.hom[self._pos[a]][self._pos[b]]
 
 
-make_category = VCategory
-
-
 def _above(leq, M, N):
     """The (i, j) pairs, in row order, where M[i][j] is not below N[i][j]."""
     return [(i, j) for i, (m, n) in enumerate(zip(M, N))

@@ -36,8 +36,7 @@ def _load(path, command, kinds):
         raise DocumentError("cannot read %s: %s" % (path, exc))
     doc = docfiles.parse_document(text)
     if doc.kind not in kinds:
-        named = " or ".join((docfiles.KINDS[kinds[0]][0],) + kinds[1:])
-        raise DocumentError("%s expects %s file" % (command, named))
+        raise DocumentError("%s expects %s file" % (command, docfiles.named_kinds(kinds)))
     return docfiles.convert(doc)
 
 
@@ -71,14 +70,19 @@ def _parse_point_spec(spec, labels, scalar_kind):
     return tuple(coords[lab] for lab in labels)
 
 
+# the largest --bound: the law suite and render grow as a power of it
+MAX_BOUND = 12
+
+
 def _bound(text):
-    """The --bound type: a nonnegative integer."""
+    """The --bound type: an integer from 0 to MAX_BOUND."""
     try:
         bound = int(text)
     except ValueError:
         bound = -1
-    if bound < 0:
-        raise argparse.ArgumentTypeError("invalid bound %r (expected an integer >= 0)" % text)
+    if not 0 <= bound <= MAX_BOUND:
+        raise argparse.ArgumentTypeError("invalid bound %r (expected an integer from 0 to %d)"
+                                         % (text, MAX_BOUND))
     return bound
 
 

@@ -165,10 +165,15 @@ def emit_document(doc):
 
 # --- conversions to domain values ---------------------------------------
 
+def named_kinds(kinds):
+    """A tuple of kinds as a phrase with its article, e.g. "a constraints or lconvex"."""
+    return " or ".join((KINDS[kinds[0]][0],) + kinds[1:])
+
+
 def convert(doc, *kinds):
     """The domain value of a document, whose kind must be one of kinds if any are given."""
     if kinds and doc.kind not in kinds:
-        raise DocumentError("expected %s document, got kind %s" % (KINDS[kinds[0]][0], doc.kind))
+        raise DocumentError("expected %s document, got kind %s" % (named_kinds(kinds), doc.kind))
     value = KINDS[doc.kind][3]
     if value is GeneratorSet:
         return GeneratorSet(doc.labels, doc.points, doc.scalar)

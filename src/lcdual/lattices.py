@@ -187,11 +187,6 @@ def get_lattice(name, scalar_kind="int"):
     return _LATTICES[name](scalar_kind)
 
 
-def check_adjointness(L, x, y, z):
-    """True iff tensor(x,y) <= z holds exactly when x <= hom(y,z)."""
-    return L.leq(L.tensor(x, y), z) == L.leq(x, L.hom(y, z))
-
-
 def law_violations(L, bound=3, max_subset=3):
     """Exhaustive law check over the carrier grid; returns violation strings.
 
@@ -202,14 +197,14 @@ def law_violations(L, bound=3, max_subset=3):
     hom from tensor as the sup of {x | tensor(x,y) <= z} whenever that sup
     lands inside the grid.
 
-    tensor and hom are tabulated over the grid once; an operand pair off the
-    grid, such as a tensor of two grid values past the bound, goes to the
-    lattice itself once and is then stored.  Each subset's sup and inf are
-    computed once.  For each y the subset loop reads one column per law,
-    a dict from s to tensor(s, y), hom(y, s) or hom(s, y), and hands the
-    subset's images to the lattice's own sup/inf, which check every term
-    against the carrier.
+    Every tensor and hom is read through a memo of the lattice's own
+    method, so each operand pair, on the grid or off it, goes to the lattice
+    once.  Each subset's sup and inf are computed once.  For each y the
+    subset loop reads one column per law, a dict from s to tensor(s, y),
+    hom(y, s) or hom(s, y), and hands the subset's images to the lattice's
+    own sup/inf, which check every term against the carrier.
     """
+    from functools import cache
     from itertools import combinations
 
     G = L.carrier_grid(bound)
@@ -219,46 +214,35 @@ def law_violations(L, bound=3, max_subset=3):
     def note(msg, *vals):
         bad.append(msg % tuple(format_scalar(v) for v in vals))
 
-    def tabulated(op):
-        table = {(x, y): op(x, y) for x in G for y in G}
-
-        def at(x, y):
-            r = table.get((x, y))
-            if r is None:
-                r = table[x, y] = op(x, y)
-            return r
-        return table, at
-
-    T, tensor = tabulated(L.tensor)
-    H, hom = tabulated(L.hom)
+    tensor, hom = cache(L.tensor), cache(L.hom)
 
     for x in G:
         if tensor(L.unit, x) != x or tensor(x, L.unit) != x:
             note("unit law fails at %s", x)
     for x in G:
         for y in G:
-            if T[x, y] != T[y, x]:
+            if tensor(x, y) != tensor(y, x):
                 note("commutativity fails at (%s, %s)", x, y)
     for x in G:
         for y in G:
-            xy, hxy = T[x, y], H[x, y]
+            xy, hxy = tensor(x, y), hom(x, y)
             for z in G:
-                if tensor(xy, z) != tensor(x, T[y, z]):
+                if tensor(xy, z) != tensor(x, tensor(y, z)):
                     note("associativity fails at (%s, %s, %s)", x, y, z)
-                if leq(xy, z) != leq(x, H[y, z]):
+                if leq(xy, z) != leq(x, hom(y, z)):
                     note("adjointness fails at (%s, %s, %s)", x, y, z)
-                if not leq(H[y, z], hom(hxy, H[x, z])):
+                if not leq(hom(y, z), hom(hxy, hom(x, z))):
                     note("composition law fails at (%s, %s, %s)", x, y, z)
     for x in G:
         for y in G:
             if not leq(x, y):
                 continue
             for z in G:
-                if not leq(T[x, z], T[y, z]):
+                if not leq(tensor(x, z), tensor(y, z)):
                     note("tensor not monotone at (%s <= %s, %s)", x, y, z)
-                if not leq(H[z, x], H[z, y]):
+                if not leq(hom(z, x), hom(z, y)):
                     note("hom not monotone in target at (%s <= %s, %s)", x, y, z)
-                if not leq(H[y, z], H[x, z]):
+                if not leq(hom(y, z), hom(x, z)):
                     note("hom not antitone in source at (%s <= %s, %s)", x, y, z)
 
     subsets = [()]
@@ -267,9 +251,9 @@ def law_violations(L, bound=3, max_subset=3):
     sup, inf = L.sup, L.inf
     extremes = [(S, sup(S), inf(S)) for S in subsets]
     for y in G:
-        t_col = {s: T[s, y] for s in G}.__getitem__
-        h_row = {s: H[y, s] for s in G}.__getitem__
-        h_col = {s: H[s, y] for s in G}.__getitem__
+        t_col = {s: tensor(s, y) for s in G}.__getitem__
+        h_row = {s: hom(y, s) for s in G}.__getitem__
+        h_col = {s: hom(s, y) for s in G}.__getitem__
         for S, sup_s, inf_s in extremes:
             if tensor(sup_s, y) != sup(map(t_col, S)):
                 note("tensor(-, %s) fails to preserve sups on a %d-subset" % ("%s", len(S)), y)
@@ -280,8 +264,8 @@ def law_violations(L, bound=3, max_subset=3):
 
     for y in G:
         for z in G:
-            recovered = sup([x for x in G if leq(T[x, y], z)])
+            recovered = sup([x for x in G if leq(tensor(x, y), z)])
             # only meaningful when the true sup is attained inside the grid
-            if recovered in G and H[y, z] in G and recovered != H[y, z]:
+            if recovered in G and hom(y, z) in G and recovered != hom(y, z):
                 note("hom not recovered from tensor at (%s, %s)", y, z)
     return bad

@@ -1,6 +1,6 @@
 from lcdual.lattices import get_lattice
 from lcdual.scalars import NEG_INF, POS_INF, fin
-from lcdual.categories import make_category
+from lcdual.categories import VCategory
 from lcdual.lconvex import closure, make_lcs
 from lcdual.duality import lcs_to_cat
 
@@ -23,7 +23,7 @@ def kcat(rows, labels=None, kind="int"):
     if labels is None:
         labels = tuple("abcdefgh"[:n])
     conv = [[_scal(x) for x in row] for row in rows]
-    return make_category(get_lattice("kbar", kind), labels, conv)
+    return VCategory(get_lattice("kbar", kind), labels, conv)
 
 
 def _scal(x):

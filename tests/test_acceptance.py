@@ -13,7 +13,7 @@ from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin
 from lcdual.scalars import ext_add, ext_sub
 from lcdual.lattices import get_lattice, law_violations
 from lcdual.categories import (
-    make_category, make_presheaf, validate_category, enumerate_functors,
+    VCategory, make_presheaf, validate_category, enumerate_functors,
     canonical_leq, verify_yoneda, is_presheaf, yoneda,
 )
 from lcdual.lconvex import (
@@ -152,7 +152,7 @@ def test_criterion_3_object_duality():
     checked = 0
     rng = random.Random(303)
     for m in all_two_by_two():
-        C = make_category(L, ("v", "w"), m)
+        C = VCategory(L, ("v", "w"), m)
         if validate_category(C):
             continue
         checked += 1
@@ -297,7 +297,7 @@ def random_preorder(rng, n):
                     changed = True
     hom = tuple(tuple(TRUE if (a, b) in rel else FALSE for b in labels)
                 for a in labels)
-    return make_category(get_lattice("two"), labels, hom), rel
+    return VCategory(get_lattice("two"), labels, hom), rel
 
 
 def lower_sets(labels, rel):
@@ -314,7 +314,7 @@ def test_criterion_7_yoneda():
     checked = 0
     L = get_lattice("kbar")
     for m in all_two_by_two():
-        C = make_category(L, ("v", "w"), m)
+        C = VCategory(L, ("v", "w"), m)
         if validate_category(C):
             continue
         checked += 1

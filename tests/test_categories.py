@@ -11,7 +11,7 @@ import pytest
 from lcdual.lattices import get_lattice
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin, format_scalar, ext_add, ext_sub
 from lcdual.categories import (
-    VCategory, VFunctor, Presheaf, make_category, make_functor, identity_functor, make_presheaf,
+    VCategory, VFunctor, Presheaf, make_functor, identity_functor, make_presheaf,
     validate_category, opposite, is_functor, is_fully_faithful, is_isomorphism,
     compose_functors, functor_hom, canonical_leq, enumerate_functors,
     self_enrichment, is_presheaf, presheaf_dist, yoneda, co_yoneda, verify_yoneda,
@@ -52,7 +52,7 @@ def test_require_category_reports_each_distinct_input_in_order():
 def test_a_category_built_from_lists_is_its_tuple_twin():
     L = get_lattice("kbar")
     C = VCategory(L, ["a", "b"], [[0, 1], [2, 0]])
-    twin = make_category(L, ("a", "b"), ((0, 1), (2, 0)))
+    twin = VCategory(L, ("a", "b"), ((0, 1), (2, 0)))
     assert validate_category(C) == []
     assert (C.objects, C.hom) == (("a", "b"), ((0, 1), (2, 0)))
     assert verify_yoneda(C)
@@ -134,7 +134,7 @@ def test_functor_hom():
     assert functor_hom(ident, ident) == fin(0)
     const_b = make_functor(C, C, {"a": "b", "b": "b"})
     assert functor_hom(ident, const_b) == fin(3)
-    empty = make_category(get_lattice("kbar"), (), ())
+    empty = VCategory(get_lattice("kbar"), (), ())
     e_id = identity_functor(empty)
     assert functor_hom(e_id, e_id) == NEG_INF
 
@@ -262,8 +262,8 @@ def test_presheaf_values_must_lie_in_the_carrier(values):
 def test_two_presheaves_are_lower_sets():
     # 2-element chain a <= b
     L = get_lattice("two")
-    chain = make_category(L, ("a", "b"),
-                          ((TRUE, TRUE), (FALSE, TRUE)))
+    chain = VCategory(L, ("a", "b"),
+                      ((TRUE, TRUE), (FALSE, TRUE)))
     assert validate_category(chain) == []
     kept = []
     for va, vb in product([FALSE, TRUE], repeat=2):
@@ -361,7 +361,7 @@ def random_matrices(name, kind, per_size, seed=0, sizes=range(7), pool=_pool):
             if n:
                 perturbed[rng.randrange(n)][rng.randrange(n)] = rng.choice(pool)
             for rows in (raw, closed, perturbed):
-                yield make_category(L, range(n), rows)
+                yield VCategory(L, range(n), rows)
 
 
 @pytest.mark.parametrize("name,kind", LATTICE_KINDS)
@@ -433,7 +433,7 @@ def test_validate_category_matches_reference_at_n32(kind):
         for x in [NEG_INF] + rng.sample(finite, 3):
             broken[rng.randrange(32)][rng.randrange(32)] = x
         for rows, valid in ((closed, True), (broken, False)):
-            C = make_category(L, ["o%d" % i for i in range(32)], rows)
+            C = VCategory(L, ["o%d" % i for i in range(32)], rows)
             bad = validate_category(C)
             assert bad == reference_validate_category(C)
             assert (bad == []) == valid
@@ -445,7 +445,7 @@ def test_residuals_examples():
     assert residuals(L, ((0, 3), (4, 0))) == ((0, 4), (3, 0))
     assert residuals(L, ((), ())) == ((NEG_INF, NEG_INF), (NEG_INF, NEG_INF))
     assert residuals(L, ()) == ()
-    C = make_category(L, "ab", ((0, 3), (4, 0)))
+    C = VCategory(L, "ab", ((0, 3), (4, 0)))
     assert presheaf_dist(yoneda(C, "a"), yoneda(C, "b")) == residuals(L, tuple(zip(*C.hom)))[0][1]
 
 
@@ -474,8 +474,8 @@ def test_mismatched_functors_rejected():
 
 def test_maps_between_lattices_are_refused():
     A = kcat([[0, 1], [2, 0]])
-    others = [make_category(get_lattice("two"), ("t",), [[TRUE]]),
-              make_category(get_lattice("kbar_plus"), ("p",), [[0]])]
+    others = [VCategory(get_lattice("two"), ("t",), [[TRUE]]),
+              VCategory(get_lattice("kbar_plus"), ("p",), [[0]])]
     for B in others:
         for X, Y in ((A, B), (B, A)):
             msg = "^a map needs one lattice on both sides, not %s and %s$" % (
@@ -486,7 +486,7 @@ def test_maps_between_lattices_are_refused():
                 with pytest.raises(ValueError, match=msg):
                     build()
     # kbar's int and real kinds still mix
-    R = make_category(get_lattice("kbar", "real"), ("r",), [[Decimal(0)]])
+    R = VCategory(get_lattice("kbar", "real"), ("r",), [[Decimal(0)]])
     assert [F.positions for F in enumerate_functors(A, R)] == [(0, 0)]
     assert [F.positions for F in enumerate_functors(R, A)] == [(0,), (1,)]
 

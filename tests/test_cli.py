@@ -564,7 +564,8 @@ def test_missing_file(capsys):
 def test_bound_must_be_nonnegative(write, capsys):
     path = write("band.lcx", BAND_LCX)
     for argv in (["render", path, "--bound", "-2"], ["laws", "kbar", "--bound", "-1"],
-                 ["render", path, "--bound", "x"]):
+                 ["render", path, "--bound", "x"], ["laws", "kbar", "--bound", "13"],
+                 ["render", path, "--bound", "13"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

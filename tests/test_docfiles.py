@@ -151,7 +151,8 @@ def test_parse_errors_carry_line_numbers(text, line, frag):
 @pytest.mark.parametrize("convert", [to_category, to_lcs, to_constraints, to_generators])
 def test_converters_refuse_another_kind(convert):
     want = {to_category: "a kcategory", to_lcs: "an lconvex",
-            to_constraints: "a constraints", to_generators: "a generators"}[convert]
+            to_constraints: "a constraints or lconvex",
+            to_generators: "a generators or points"}[convert]
     other = GEN_TEXT if convert is not to_generators else LCX_TEXT
     doc = parse_document(other)
     with pytest.raises(DocumentError) as exc:

@@ -10,7 +10,7 @@ import pytest
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, fin
 from lcdual.lattices import get_lattice
 from lcdual.categories import (
-    VFunctor, make_category, make_functor, identity_functor, enumerate_functors, canonical_leq,
+    VFunctor, VCategory, make_functor, identity_functor, enumerate_functors, canonical_leq,
     is_presheaf, make_presheaf, opposite, validate_category, InvalidCategory,
 )
 from lcdual.lconvex import member, grid_members, canonical_points
@@ -41,7 +41,7 @@ def test_cat_to_lcs_rejects_invalid():
 
 
 def test_cat_to_lcs_needs_kbar():
-    C = make_category(get_lattice("two"), ("a",), [[TRUE]])
+    C = VCategory(get_lattice("two"), ("a",), [[TRUE]])
     assert validate_category(C) == []
     with pytest.raises(ValueError,
                        match=r"^an L-convex set needs the kbar lattice, not TwoLattice\(int\)$"):

@@ -1,3 +1,4 @@
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -6,11 +7,11 @@ from math import isfinite
 import pytest
 
 from lcdual.lattices import (
-    get_lattice, check_adjointness, law_violations,
+    get_lattice, law_violations,
     KbarLattice, KbarPlusLattice, KbarPlusCartLattice, TwoLattice,
 )
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin, ext_add, format_scalar
-from lcdual.categories import make_category, validate_category
+from lcdual.categories import VCategory, validate_category
 
 
 ALL_NAMES = ["two", "kbar", "kbar_plus", "kbar_plus_cart"]
@@ -38,7 +39,7 @@ def test_lattices_equal_by_name_and_kind():
     assert get_lattice("kbar") == get_lattice("kbar", "int")
     assert get_lattice("kbar_plus") != get_lattice("kbar_plus_cart")  # only the name differs
     assert get_lattice("kbar") != get_lattice("kbar", "real")  # only the kind differs
-    plus, cart = (make_category(get_lattice(name), ("a",), [[0]])
+    plus, cart = (VCategory(get_lattice(name), ("a",), [[0]])
                   for name in ("kbar_plus", "kbar_plus_cart"))
     assert plus.objects == cart.objects and plus.hom == cart.hom and plus != cart
 
@@ -165,7 +166,7 @@ def reference_law_violations(L, bound=3, max_subset=3):
             for z in G:
                 if L.tensor(L.tensor(x, y), z) != L.tensor(x, L.tensor(y, z)):
                     note("associativity fails at (%s, %s, %s)", x, y, z)
-                if not check_adjointness(L, x, y, z):
+                if L.leq(L.tensor(x, y), z) != L.leq(x, L.hom(y, z)):
                     note("adjointness fails at (%s, %s, %s)", x, y, z)
                 if not L.leq(L.hom(y, z), L.hom(L.hom(x, y), L.hom(x, z))):
                     note("composition law fails at (%s, %s, %s)", x, y, z)
@@ -251,12 +252,23 @@ def test_law_suite_checks_every_term_against_the_carrier(kind):
     assert str(got.value) == str(want.value) == "outside carrier: 0.5"
 
 
-def test_adjointness_examples():
-    kbar = get_lattice("kbar")
-    assert check_adjointness(kbar, fin(2), fin(3), fin(5))
-    assert check_adjointness(kbar, POS_INF, NEG_INF, fin(5))
-    two = get_lattice("two")
-    assert check_adjointness(two, TRUE, FALSE, FALSE)
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("lattice", SUITE_LATTICES[:4], ids=lambda cls: cls.__name__)
+def test_law_suite_calls_each_op_once_per_pair(lattice, kind):
+    calls = {"tensor": Counter(), "hom": Counter()}
+
+    class Counting(lattice):
+        def tensor(self, x, y):
+            calls["tensor"][x, y] += 1
+            return super().tensor(x, y)
+
+        def hom(self, x, y):
+            calls["hom"][x, y] += 1
+            return super().hom(x, y)
+
+    assert law_violations(Counting(kind), 2) == []
+    for op, pairs in calls.items():
+        assert pairs and max(pairs.values()) == 1, op
 
 
 def test_order_is_reversed_for_numeric():
@@ -383,7 +395,7 @@ def test_real_kind_zeros_are_decimal(name):
     one = Decimal("1.0")
     values = [L.unit, L.inf([]), L.hom(POS_INF, POS_INF), L.hom(one, one)]
     assert all(type(x) is Decimal for x in values if isfinite(x))
-    C = make_category(L, ("v",), [[one]])
+    C = VCategory(L, ("v",), [[one]])
     assert validate_category(C) == ["identity law fails at v: unit 0 is not below hom 1.0"]
 
 

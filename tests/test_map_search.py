@@ -23,7 +23,7 @@ import pytest
 from lcdual.lattices import get_lattice
 from lcdual import categories
 from lcdual.categories import (
-    VFunctor, make_category, enumerate_functors, _index_maps, _packed, _bits,
+    VFunctor, VCategory, enumerate_functors, _index_maps, _packed, _bits,
 )
 from lcdual.scalars import POS_INF, fin
 from lcdual.lconvex import (
@@ -76,8 +76,8 @@ def random_lcs(rng, n, labels):
 
 def random_category(rng, L, n, labels):
     grid = L.carrier_grid(1)
-    return make_category(L, labels[:n], [[rng.choice(grid) for _ in range(n)]
-                                         for _ in range(n)])
+    return VCategory(L, labels[:n], [[rng.choice(grid) for _ in range(n)]
+                                     for _ in range(n)])
 
 
 LATTICES = ["kbar", "two", "kbar_plus", "kbar_plus_cart"]
@@ -124,7 +124,7 @@ def test_collapsed_case_keeps_every_map(n):
 def test_empty_and_single_object_searches(lattice):
     L = get_lattice(lattice)
     rng = random.Random("edges/" + lattice)
-    empty = make_category(L, (), ())
+    empty = VCategory(L, (), ())
     for _ in range(10):
         one = random_category(rng, L, 1, ("a",))
         some = random_category(rng, L, rng.randint(1, 3), ("x", "y", "z"))
