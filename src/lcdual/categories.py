@@ -295,11 +295,12 @@ def compose_functors(G, F):
 
 
 def functor_hom(F, G):
-    """Hom-value between parallel functors: inf over a of hom(F a, G a)."""
+    """Hom-value between parallel functors: inf over a of hom(F a, G a),
+    taken by the raw inf, as B's entries were checked when B was built."""
     if F.domain != G.domain or F.codomain != G.codomain:
         raise ValueError("functors are not parallel")
     B = F.codomain
-    return B.lattice.inf([B.hom[i][j] for i, j in zip(F.positions, G.positions)])
+    return B.lattice._inf([B.hom[i][j] for i, j in zip(F.positions, G.positions)])
 
 
 def canonical_leq(F, G):

@@ -12,16 +12,19 @@ infinity tables are forced, not configurable.
 """
 
 from decimal import Decimal
-from operator import ge
+from functools import cache
+from itertools import chain, combinations, compress, repeat
+from operator import ge, ne, not_, or_
 
 from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_scalar, _scalar_kind
 
 
 class EnrichingLattice:
     """Shared machinery.  Each lattice defines contains(x), leq(x, y) (the
-    order, x below y), the raw formulas _tensor(x, y) and _hom(x, y), unit,
-    sup(xs), inf(xs) and carrier_grid(bound), the finite slice of the carrier
-    the law checks use; tensor and hom check both operands, then run them."""
+    order, x below y), the raw formulas _tensor(x, y), _hom(x, y), _sup(xs)
+    and _inf(xs) (xs a tuple or list), unit and carrier_grid(bound), the
+    finite slice of the carrier the law checks use; tensor and hom check both
+    operands, sup and inf every term, then run the raw formula."""
 
     name = None
 
@@ -51,6 +54,12 @@ class EnrichingLattice:
     def hom(self, x, y):
         self._checked((x, y))
         return self._hom(x, y)
+
+    def sup(self, xs):
+        return self._sup(self._checked(xs))
+
+    def inf(self, xs):
+        return self._inf(self._checked(xs))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.scalar_kind)
@@ -82,11 +91,11 @@ class TwoLattice(EnrichingLattice):
     def _hom(self, x, y):
         return TRUE if x is FALSE or y is TRUE else FALSE
 
-    def sup(self, xs):
-        return TRUE if TRUE in self._checked(xs) else FALSE
+    def _sup(self, xs):
+        return TRUE if TRUE in xs else FALSE
 
-    def inf(self, xs):
-        return FALSE if FALSE in self._checked(xs) else TRUE
+    def _inf(self, xs):
+        return FALSE if FALSE in xs else TRUE
 
     def carrier_grid(self, bound):
         return [FALSE, TRUE]
@@ -104,15 +113,13 @@ class _NumericLattice(EnrichingLattice):
     # x >= y as a builtin: a C-level map over it runs no Python frame
     leq = staticmethod(ge)
 
-    # the law suite calls sup/inf thousands of times: min(xs) if xs else ...
+    # the law suite calls _sup/_inf thousands of times: min(xs) if xs else ...
     # gives the same value as min(xs, default=...) without the keyword parse
-    def sup(self, xs):
+    def _sup(self, xs):
         # lattice sup = usual minimum; empty sup is the lattice bottom.
-        xs = self._checked(xs)
         return min(xs) if xs else POS_INF
 
-    def inf(self, xs):
-        xs = self._checked(xs)
+    def _inf(self, xs):
         return max(xs) if xs else self._top
 
     def _grid(self, lo, bound):
@@ -199,73 +206,95 @@ def law_violations(L, bound=3, max_subset=3):
 
     Every tensor and hom is read through a memo of the lattice's own
     method, so each operand pair, on the grid or off it, goes to the lattice
-    once.  Each subset's sup and inf are computed once.  For each y the
-    subset loop reads one column per law, a dict from s to tensor(s, y),
-    hom(y, s) or hom(s, y), and hands the subset's images to the lattice's
-    own sup/inf, which check every term against the carrier.
+    once.  Each block of laws is decided by C-level passes over operand
+    columns, one entry per law instance; Python walks only the failing ones,
+    to write their notes in order.  The grid, and for each y the columns
+    tensor(s, y), hom(y, s) and hom(s, y), are checked against the carrier
+    once, so every term the raw _sup/_inf receive is checked.
     """
-    from functools import cache
-    from itertools import combinations
-
-    G = L.carrier_grid(bound)
-    leq = L.leq
+    G = L._checked(L.carrier_grid(bound))
+    n, leq, unit, _sup, _inf = len(G), L.leq, L.unit, L._sup, L._inf
     bad = []
 
     def note(msg, *vals):
         bad.append(msg % tuple(format_scalar(v) for v in vals))
 
+    def walk(at, msgs, *flags):
+        """At each index k where some flag is true, in order, note every
+        message whose flag is true there, with the values at(k)."""
+        rows = list(zip(*flags))  # in lockstep: each instance's laws in order
+        for k, row in compress(enumerate(rows), map(any, rows)):
+            for msg in compress(msgs, row):
+                note(msg, *at(k))
+
+    def spread(seq, m):  # seq with each member repeated m times in place
+        return list(chain.from_iterable(map(repeat, seq, repeat(m))))
+
+    def rows_of(M, idx):  # the rows M[i] for i in idx, end to end
+        return chain.from_iterable(map(M.__getitem__, idx))
+
     tensor, hom = cache(L.tensor), cache(L.hom)
+    # the grid's tables, T[i][j] = tensor(G[i], G[j]) and H[i][j] = hom(G[i], G[j])
+    T, H = ([list(map(op, repeat(x), G)) for x in G] for op in (tensor, hom))
+    Tt, Ht = [list(c) for c in zip(*T)], [list(c) for c in zip(*H)]
+    flat_T, flat_H = list(rows_of(T, range(n))), list(rows_of(H, range(n)))
 
-    for x in G:
-        if tensor(L.unit, x) != x or tensor(x, L.unit) != x:
-            note("unit law fails at %s", x)
-    for x in G:
-        for y in G:
-            if tensor(x, y) != tensor(y, x):
-                note("commutativity fails at (%s, %s)", x, y)
-    for x in G:
-        for y in G:
-            xy, hxy = tensor(x, y), hom(x, y)
-            for z in G:
-                if tensor(xy, z) != tensor(x, tensor(y, z)):
-                    note("associativity fails at (%s, %s, %s)", x, y, z)
-                if leq(xy, z) != leq(x, hom(y, z)):
-                    note("adjointness fails at (%s, %s, %s)", x, y, z)
-                if not leq(hom(y, z), hom(hxy, hom(x, z))):
-                    note("composition law fails at (%s, %s, %s)", x, y, z)
-    for x in G:
-        for y in G:
-            if not leq(x, y):
-                continue
-            for z in G:
-                if not leq(tensor(x, z), tensor(y, z)):
-                    note("tensor not monotone at (%s <= %s, %s)", x, y, z)
-                if not leq(hom(z, x), hom(z, y)):
-                    note("hom not monotone in target at (%s <= %s, %s)", x, y, z)
-                if not leq(hom(y, z), hom(x, z)):
-                    note("hom not antitone in source at (%s <= %s, %s)", x, y, z)
+    walk(lambda k: (G[k],), ["unit law fails at %s"],
+         map(or_, map(ne, map(tensor, repeat(unit), G), G),
+             map(ne, map(tensor, G, repeat(unit)), G)))
+    walk(lambda k: (G[k // n], G[k % n]), ["commutativity fails at (%s, %s)"],
+         map(ne, flat_T, rows_of(Tt, range(n))))
 
-    subsets = [()]
-    for k in range(1, max_subset + 1):
-        subsets.extend(combinations(G, k))
-    sup, inf = L.sup, L.inf
-    extremes = [(S, sup(S), inf(S)) for S in subsets]
-    for y in G:
-        t_col = {s: tensor(s, y) for s in G}.__getitem__
-        h_row = {s: hom(y, s) for s in G}.__getitem__
-        h_col = {s: hom(s, y) for s in G}.__getitem__
-        for S, sup_s, inf_s in extremes:
-            if tensor(sup_s, y) != sup(map(t_col, S)):
-                note("tensor(-, %s) fails to preserve sups on a %d-subset" % ("%s", len(S)), y)
-            if hom(y, inf_s) != inf(map(h_row, S)):
-                note("hom(%s, -) fails to preserve infs on a %d-subset" % ("%s", len(S)), y)
-            if hom(sup_s, y) != inf(map(h_col, S)):
-                note("hom(-, %s) fails to turn sups into infs on a %d-subset" % ("%s", len(S)), y)
+    # the triple (G[i], G[j], G[l]) at index (i * n + j) * n + l
+    X, Z, XY, HYZ = spread(G, n * n), G * (n * n), spread(flat_T, n), flat_H * n
+    walk(lambda k: (G[k // n // n], G[k // n % n], G[k % n]),
+         ["associativity fails at (%s, %s, %s)", "adjointness fails at (%s, %s, %s)",
+          "composition law fails at (%s, %s, %s)"],
+         map(ne, map(tensor, XY, Z), map(tensor, X, flat_T * n)),
+         map(ne, map(leq, XY, Z), map(leq, X, HYZ)),
+         map(not_, map(leq, HYZ, map(hom, spread(flat_H, n), rows_of(H, spread(range(n), n))))))
 
-    for y in G:
-        for z in G:
-            recovered = sup([x for x in G if leq(tensor(x, y), z)])
-            # only meaningful when the true sup is attained inside the grid
-            if recovered in G and hom(y, z) in G and recovered != hom(y, z):
-                note("hom not recovered from tensor at (%s, %s)", y, z)
+    # the pairs x <= y, then z, at index p * n + l
+    P = list(compress(range(n * n), map(leq, spread(G, n), G * n)))
+    xs, ys = [k // n for k in P], [k % n for k in P]
+    walk(lambda k: (G[xs[k // n]], G[ys[k // n]], G[k % n]),
+         ["tensor not monotone at (%s <= %s, %s)", "hom not monotone in target at (%s <= %s, %s)",
+          "hom not antitone in source at (%s <= %s, %s)"],
+         map(not_, map(leq, rows_of(T, xs), rows_of(T, ys))),
+         map(not_, map(leq, rows_of(Ht, xs), rows_of(Ht, ys))),
+         map(not_, map(leq, rows_of(H, ys), rows_of(H, xs))))
+
+    # per subset size k, the position columns: zipping a column's entries at
+    # them gives every subset's image tuple; the empty subset's is ()
+    sizes = [(k, list(zip(*combinations(range(n), k)))) for k in range(max(max_subset, 0) + 1)]
+
+    def images(col):  # each subset's image tuple in col, in subset order
+        return chain.from_iterable(zip(*[map(col.__getitem__, ps) for ps in positions])
+                                   if k else [()] for k, positions in sizes)
+
+    subsets = list(images(G))
+    sups, infs = list(map(_sup, subsets)), list(map(_inf, subsets))
+    some_sups, some_infs = list(set(sups)), list(set(infs))  # each distinct value once
+    flags = [], [], []
+    for t_col, h_row, h_col, y in zip(Tt, H, Ht, G):
+        if max_subset > 0:
+            L._checked(t_col + h_row + h_col)
+        t_at = dict(zip(some_sups, map(tensor, some_sups, repeat(y)))).__getitem__
+        hr_at = dict(zip(some_infs, map(hom, repeat(y), some_infs))).__getitem__
+        hc_at = dict(zip(some_sups, map(hom, some_sups, repeat(y)))).__getitem__
+        flags[0].extend(map(ne, map(t_at, sups), map(_sup, images(t_col))))
+        flags[1].extend(map(ne, map(hr_at, infs), map(_inf, images(h_row))))
+        flags[2].extend(map(ne, map(hc_at, sups), map(_inf, images(h_col))))
+    walk(lambda k: (G[k // len(subsets)], len(subsets[k % len(subsets)])),
+         ["tensor(-, %s) fails to preserve sups on a %s-subset",
+          "hom(%s, -) fails to preserve infs on a %s-subset",
+          "hom(-, %s) fails to turn sups into infs on a %s-subset"], *flags)
+
+    # per (y, z): the sup of the x with tensor(x, y) <= z
+    below = map(map, repeat(leq), spread(Tt, n), map(repeat, G * n))
+    recovered = list(map(_sup, map(tuple, map(compress, repeat(G), below))))
+    for k in compress(range(n * n), map(ne, recovered, flat_H)):
+        # only meaningful when the true sup is attained inside the grid
+        if recovered[k] in G and flat_H[k] in G:
+            note("hom not recovered from tensor at (%s, %s)", G[k // n], G[k % n])
     return bad

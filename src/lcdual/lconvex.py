@@ -152,12 +152,12 @@ def weight_shift(p, alpha, sign="plus"):
 
 def point_sup(points, n):
     """Coordinatewise sup (usual min) of n-coordinate points; empty sup is the all-inf point."""
-    return _pointwise(points, n, _POINT_LATTICE.sup)
+    return _pointwise(points, n, _POINT_LATTICE._sup)
 
 
 def point_inf(points, n):
     """Coordinatewise inf (usual max) of n-coordinate points; empty inf is the all-(-inf) point."""
-    return _pointwise(points, n, _POINT_LATTICE.inf)
+    return _pointwise(points, n, _POINT_LATTICE._inf)
 
 
 def _pointwise(points, n, op):

@@ -132,13 +132,27 @@ class _TwoHomIsSource(TwoLattice):
         return x
 
 
+class _PlusSupIsUsualMax(KbarPlusLattice):
+    # the raw sup behind both the public sup and the law suite's subset images
+    def _sup(self, xs):
+        return max(xs) if xs else POS_INF
+
+
+class _TwoInfIsSup(TwoLattice):
+    def _inf(self, xs):
+        return TRUE if TRUE in xs else FALSE
+
+
 @pytest.mark.parametrize("mutant, laws", [
     (_KbarInfMinusInf, ["adjointness fails"]),
     (_CartPlusAtOne, ["adjointness fails", "associativity fails", "commutativity fails"]),
     (_TwoHomAlwaysTrue, ["adjointness fails"]),
     (_TwoHomNegatesTarget, ["hom not monotone in target", "hom(false, -) fails to preserve infs"]),
     (_TwoHomIsSource, ["hom not antitone in source"]),
-], ids=["kbar-hom-inf-inf", "cart-plus-at-one", "two-hom-true", "two-hom-not-y", "two-hom-x"])
+    (_PlusSupIsUsualMax, ["hom(-, inf) fails to turn sups into infs"]),
+    (_TwoInfIsSup, ["hom(false, -) fails to preserve infs", "hom(-, false) fails to turn sups into infs"]),
+], ids=["kbar-hom-inf-inf", "cart-plus-at-one", "two-hom-true", "two-hom-not-y", "two-hom-x",
+        "plus-sup-max", "two-inf-sup"])
 def test_law_suite_catches_a_broken_law(mutant, laws):
     bad = law_violations(mutant(), bound=3)
     assert bad
@@ -214,6 +228,7 @@ def reference_law_violations(L, bound=3, max_subset=3):
 SUITE_LATTICES = [
     TwoLattice, KbarLattice, KbarPlusLattice, KbarPlusCartLattice,
     _KbarInfMinusInf, _CartPlusAtOne, _TwoHomAlwaysTrue, _TwoHomNegatesTarget, _TwoHomIsSource,
+    _PlusSupIsUsualMax, _TwoInfIsSup,
 ]
 
 
@@ -223,6 +238,14 @@ SUITE_LATTICES = [
 def test_law_suite_matches_reference(lattice, kind, bound):
     L = lattice(kind)
     assert law_violations(L, bound) == reference_law_violations(L, bound)
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("lattice", SUITE_LATTICES[:4], ids=lambda cls: cls.__name__)
+def test_law_suite_matches_reference_on_a_larger_grid(lattice, kind):
+    # kbar's 13-value grid at bound 5 reaches table and subset indices bounds 0-3 do not
+    L = lattice(kind)
+    assert law_violations(L, 5) == reference_law_violations(L, 5)
 
 
 @pytest.mark.parametrize("max_subset", [0, 1, 2, 4])
@@ -240,11 +263,18 @@ class _KbarTensorLeavesCarrier(KbarLattice):
         return 0.5
 
 
+class _KbarHomLeavesCarrier(KbarLattice):
+    def hom(self, x, y):
+        return 0.5
+
+
 @pytest.mark.parametrize("kind", ["int", "real"])
-def test_law_suite_checks_every_term_against_the_carrier(kind):
-    # only the carrier check in sup sees the stray 0.5: every law compares
+@pytest.mark.parametrize("mutant", [_KbarTensorLeavesCarrier, _KbarHomLeavesCarrier],
+                         ids=["tensor", "hom"])
+def test_law_suite_checks_every_term_against_the_carrier(mutant, kind):
+    # only the carrier check in sup/inf sees the stray 0.5: every law compares
     # values, and 0.5 compares with them all
-    L = _KbarTensorLeavesCarrier(kind)
+    L = mutant(kind)
     with pytest.raises(ValueError) as want:
         reference_law_violations(L, 2)
     with pytest.raises(ValueError) as got:
