@@ -12,8 +12,8 @@ views are read off these tuples.
 """
 
 from dataclasses import dataclass
-from collections import deque
 from itertools import repeat
+from operator import itemgetter
 
 from .scalars import format_scalar
 from .lattices import EnrichingLattice
@@ -109,16 +109,34 @@ def _check_lattices(A, B):
                          % (A.lattice.name, B.lattice.name))
 
 
-@dataclass(frozen=True, slots=True)
-class VFunctor:
-    domain: VCategory
-    codomain: VCategory
-    positions: tuple  # positions[i]: codomain index of the image of domain.objects[i]
+@dataclass(frozen=True, init=False)
+class VFunctor(tuple):
+    """The functor sending domain.objects[i] to codomain.objects[positions[i]]:
+    a frozen dataclass stored as the tuple of its fields, so a search builds
+    one with a single tuple.__new__; it equals only a VFunctor and is unordered."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
-        _check_lattices(self.domain, self.codomain)
-        _check_positions(self.positions, len(self.domain.objects), len(self.codomain.objects))
+    __slots__ = ()
+    domain: VCategory = property(itemgetter(0))
+    codomain: VCategory = property(itemgetter(1))
+    positions: tuple = property(itemgetter(2))
+
+    def __new__(cls, domain, codomain, positions):
+        positions = tuple(positions)
+        _check_lattices(domain, codomain)
+        _check_positions(positions, len(domain.objects), len(codomain.objects))
+        return tuple.__new__(cls, (domain, codomain, positions))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's field comparison
+
+    def __lt__(self, other):
+        raise TypeError("functors are not ordered")
+    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def object_map(self):
@@ -127,10 +145,6 @@ class VFunctor:
 
     def __call__(self, a):
         return self.codomain.objects[self.positions[self.domain._pos[a]]]
-
-
-_set_domain, _set_codomain, _set_positions = (
-    VFunctor.__dict__[name].__set__ for name in ("domain", "codomain", "positions"))
 
 
 def _by_object(C, mapping):
@@ -319,13 +333,13 @@ def _functors(domain, codomain, levels):
     """The VFunctors domain -> codomain of the index maps in levels, in order.
 
     Each level (prefix, tails) of _index_maps is checked whole under the
-    position rule that VFunctor.__post_init__ applies: the prefix once per
-    level as the positions of every object but the last two (or fewer), each
-    tails tuple once per distinct tuple as those last positions.  A tails
-    tuple is remembered by value, and an equal tuple that is not the one
-    checked is checked again, since (True, 0) and (1.0, 0) equal (1, 0).
-    The results are then built in C-level passes over the flat list of
-    positions, with no Python call per result.
+    position rule that VFunctor.__new__ applies: the prefix once per level as
+    the positions of every object but the last two (or fewer), each tails
+    tuple once per distinct tuple as those last positions.  A tails tuple is
+    remembered by value, and an equal tuple that is not the one checked is
+    checked again, since (True, 0) and (1.0, 0) equal (1, 0).  Each result
+    is then its field tuple, made a VFunctor by one C-level tuple.__new__ in
+    one pass, so no Python frame runs per result.
     """
     m = len(codomain.objects)
     width = min(len(domain.objects), 2)  # every map's last two positions, or fewer
@@ -339,11 +353,7 @@ def _functors(domain, codomain, levels):
                 _check_positions(t, width, m)
             checked[tails] = tails
         ps += map(prefix.__add__, tails)
-    objs = list(map(object.__new__, repeat(VFunctor, len(ps))))
-    deque(map(_set_domain, objs, repeat(domain)), 0)
-    deque(map(_set_codomain, objs, repeat(codomain)), 0)
-    deque(map(_set_positions, objs, ps), 0)
-    return objs
+    return list(map(tuple.__new__, repeat(VFunctor), zip(repeat(domain), repeat(codomain), ps)))
 
 
 def residuals(L, rows):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import operator
 import pickle
 import random
 from decimal import Decimal
@@ -514,10 +515,30 @@ def test_search_built_functors_are_frozen():
         assert (F.domain, F.codomain, F.positions) == before
 
 
+def test_a_functor_equals_only_a_functor():
+    # stored as the tuple of its fields, a VFunctor must still not equal that
+    # plain tuple from either side, nor be ordered like one
+    A = kcat([[0, 1, 2], [2, 0, 1], [3, 3, 0]])
+    B = kcat([[0, 2], [1, 0]], labels=("u", "v"))
+    F = enumerate_functors(A, B)[2]
+    twin = VFunctor(A, B, list(F.positions))
+    fields = (F.domain, F.codomain, F.positions)
+    assert dataclasses.is_dataclass(F) and dataclasses.is_dataclass(twin)
+    assert F == twin and not F != twin
+    assert hash(F) == hash(twin) == hash(fields)
+    for G in (F, twin):
+        assert not G == fields and G != fields
+        assert not fields == G and fields != G
+    for x, y in ((F, twin), (twin, F), (F, fields), (fields, F)):
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                order(x, y)
+
+
 def test_vfunctor_init_takes_every_field():
-    # the hand-written __init__ stores each field itself: a field added later must be a parameter
-    params = list(inspect.signature(VFunctor.__init__).parameters)
-    assert params == ["self"] + [f.name for f in dataclasses.fields(VFunctor)]
+    # VFunctor.__new__ checks and stores each field itself: a field added later must be a parameter
+    params = list(inspect.signature(VFunctor.__new__).parameters)
+    assert params == ["cls"] + [f.name for f in dataclasses.fields(VFunctor)]
 
 
 def _random_enriched(rng, L):

@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
 from itertools import product
 from math import isfinite
 
@@ -273,8 +274,9 @@ def _bulk_built_cases():
 
 
 def test_bulk_built_functors_equal_constructed_ones():
-    # a search builds its results past VFunctor.__init__; they must be the
-    # same objects in every observable way
+    # a search builds its results past VFunctor.__new__; they must be the
+    # same objects in every observable way, also through every pickle
+    # protocol, of which 0 and 1 rebuild them past __new__ too
     names = [f.name for f in dataclasses.fields(VFunctor)]
     total = 0
     for A, B in _bulk_built_cases():
@@ -285,10 +287,32 @@ def test_bulk_built_functors_equal_constructed_ones():
             assert copy.copy(F) == F
             assert all(hasattr(F, name) for name in names)
             assert (F.domain, F.codomain) == (A, B)
-        assert pickle.loads(pickle.dumps(fs)) == fs
+        for protocol in range(6):
+            assert pickle.loads(pickle.dumps(fs, protocol)) == fs
         assert copy.deepcopy(fs) == fs
         total += len(fs)
     assert total > 6 ** 5
+
+
+def test_a_dense_search_runs_no_python_frame_per_result():
+    # the results are built in C-level passes, so the Python calls of a search
+    # (checks, tables, generator resumptions) scale with its levels, not its maps
+    A, B = five_to_six("collapsed")
+    levels = list(_index_maps(A.hom, B.hom, A.lattice.leq))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fs = enumerate_functors(A, B)
+    finally:
+        sys.setprofile(outer)
+    assert len(fs) == 6 ** 5 and len(levels) == 6 ** 3
+    assert len(calls) <= 5 * len(levels)
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
