@@ -12,7 +12,7 @@ views are read off these tuples.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .scalars import format_scalar
@@ -112,22 +112,25 @@ def _check_lattices(A, B):
 @dataclass(frozen=True, init=False)
 class VFunctor(tuple):
     """The functor sending domain.objects[i] to codomain.objects[positions[i]]:
-    a frozen dataclass stored as the tuple of its fields, so a search builds
-    one with a single tuple.__new__; it equals only a VFunctor and is unordered."""
+    a frozen dataclass stored as the tuple (domain, codomain, head, tail),
+    tail the last min(n, 2) positions and head the rest, so a search builds
+    one with a single tuple.__new__ from a level's prefix and a shared tail;
+    it equals only a VFunctor and is unordered."""
 
     __slots__ = ()
     domain: VCategory = property(itemgetter(0))
     codomain: VCategory = property(itemgetter(1))
-    positions: tuple = property(itemgetter(2))
+    positions: tuple = property(lambda self: self[2] + self[3])
 
     def __new__(cls, domain, codomain, positions):
         positions = tuple(positions)
         _check_lattices(domain, codomain)
         _check_positions(positions, len(domain.objects), len(codomain.objects))
-        return tuple.__new__(cls, (domain, codomain, positions))
+        k = max(len(positions) - 2, 0)
+        return tuple.__new__(cls, (domain, codomain, positions[:k], positions[k:]))
 
     def __getnewargs__(self):
-        return tuple(self)
+        return self[0], self[1], self.positions
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and tuple.__eq__(self, other)
@@ -144,7 +147,8 @@ class VFunctor(tuple):
         return tuple(zip(self.domain.objects, (self.codomain.objects[j] for j in self.positions)))
 
     def __call__(self, a):
-        return self.codomain.objects[self.positions[self.domain._pos[a]]]
+        i, head = self[0]._pos[a], self[2]
+        return self[1].objects[head[i] if i < len(head) else self[3][i - len(head)]]
 
 
 def _by_object(C, mapping):
@@ -336,24 +340,30 @@ def _functors(domain, codomain, levels):
     position rule that VFunctor.__new__ applies: the prefix once per level as
     the positions of every object but the last two (or fewer), each tails
     tuple once per distinct tuple as those last positions.  A tails tuple is
-    remembered by value, and an equal tuple that is not the one checked is
-    checked again, since (True, 0) and (1.0, 0) equal (1, 0).  Each result
-    is then its field tuple, made a VFunctor by one C-level tuple.__new__ in
-    one pass, so no Python frame runs per result.
+    remembered by identity, so no level hashes its pairs, and an equal tuple
+    that is not the one checked is checked again, since (True, 0) and (1.0, 0)
+    equal (1, 0).  The results are then built in one C-level pass after the
+    checks: each is the tuple (domain, codomain, prefix, t) for a tail t of
+    its level, objects the search already holds, made a VFunctor by one
+    tuple.__new__, so each map costs one allocation and no Python frame, and
+    each level two list appends.
     """
     m = len(codomain.objects)
     width = min(len(domain.objects), 2)  # every map's last two positions, or fewer
     head = len(domain.objects) - width
-    checked = {}  # tails -> the tails tuple that passed the check
-    ps = []
+    checked = {}  # id(tails) -> the tails tuple that passed the check, kept so its id is not reused
+    prefixes, level_tails = [], []
     for prefix, tails in levels:
         _check_positions(prefix, head, m)
-        if checked.get(tails) is not tails:
+        if checked.get(id(tails)) is not tails:
             for t in tails:
                 _check_positions(t, width, m)
-            checked[tails] = tails
-        ps += map(prefix.__add__, tails)
-    return list(map(tuple.__new__, repeat(VFunctor), zip(repeat(domain), repeat(codomain), ps)))
+            checked[id(tails)] = tails
+        prefixes.append(prefix)
+        level_tails.append(tails)
+    heads = chain.from_iterable(map(repeat, prefixes, map(len, level_tails)))
+    return list(map(tuple.__new__, repeat(VFunctor),
+                    zip(repeat(domain), repeat(codomain), heads, chain.from_iterable(level_tails))))
 
 
 def residuals(L, rows):

@@ -516,8 +516,9 @@ def test_search_built_functors_are_frozen():
 
 
 def test_a_functor_equals_only_a_functor():
-    # stored as the tuple of its fields, a VFunctor must still not equal that
-    # plain tuple from either side, nor be ordered like one
+    # stored as a tuple, a VFunctor must still not equal the plain tuple of
+    # its fields, nor the one it is stored as, from either side, nor be
+    # ordered like one
     A = kcat([[0, 1, 2], [2, 0, 1], [3, 3, 0]])
     B = kcat([[0, 2], [1, 0]], labels=("u", "v"))
     F = enumerate_functors(A, B)[2]
@@ -527,9 +528,10 @@ def test_a_functor_equals_only_a_functor():
     assert F == twin and not F != twin
     assert hash(F) == hash(twin) == hash(fields)
     for G in (F, twin):
-        assert not G == fields and G != fields
-        assert not fields == G and fields != G
-    for x, y in ((F, twin), (twin, F), (F, fields), (fields, F)):
+        for plain in (fields, tuple(G)):
+            assert not G == plain and G != plain
+            assert not plain == G and plain != G
+    for x, y in ((F, twin), (twin, F), (F, fields), (fields, F), (F, tuple(F)), (tuple(F), F)):
         for order in (operator.lt, operator.le, operator.gt, operator.ge):
             with pytest.raises(TypeError):
                 order(x, y)

@@ -13,6 +13,7 @@ shared by every level whose tails are equal.
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import sys
@@ -267,16 +268,18 @@ def _bulk_built_cases():
     rng = random.Random("bulk")
     for lattice in LATTICES:
         L = get_lattice(lattice)
-        for n in (0, 1, 2):
+        # 3 and 4 objects: heads of length 1 and 2 beside the 2-position tail
+        for n in (0, 1, 2, 3, 4):
             for _ in range(5):
-                yield (random_category(rng, L, n, ("a", "b")),
+                yield (random_category(rng, L, n, "abcd"),
                        random_category(rng, L, rng.randint(1, 4), "wxyz"))
 
 
 def test_bulk_built_functors_equal_constructed_ones():
-    # a search builds its results past VFunctor.__new__; they must be the
-    # same objects in every observable way, also through every pickle
-    # protocol, of which 0 and 1 rebuild them past __new__ too
+    # a search builds its results past VFunctor.__new__, from the head and
+    # tail it holds; they must be the same objects in every observable way,
+    # also through every pickle protocol, of which 0 and 1 rebuild them past
+    # __new__ too
     names = [f.name for f in dataclasses.fields(VFunctor)]
     total = 0
     for A, B in _bulk_built_cases():
@@ -287,6 +290,10 @@ def test_bulk_built_functors_equal_constructed_ones():
             assert copy.copy(F) == F
             assert all(hasattr(F, name) for name in names)
             assert (F.domain, F.codomain) == (A, B)
+            assert type(F.positions) is tuple and len(F.positions) == len(A.objects)
+            images = [F(a) for a in A.objects]
+            assert images == [B.objects[j] for j in F.positions]
+            assert F.object_map == tuple(zip(A.objects, images))
         for protocol in range(6):
             assert pickle.loads(pickle.dumps(fs, protocol)) == fs
         assert copy.deepcopy(fs) == fs
@@ -313,6 +320,27 @@ def test_a_dense_search_runs_no_python_frame_per_result():
         sys.setprofile(outer)
     assert len(fs) == 6 ** 5 and len(levels) == 6 ** 3
     assert len(calls) <= 5 * len(levels)
+
+
+def test_a_dense_search_leaves_one_tracked_object_per_result():
+    # each result is one tuple sharing the level's prefix and a pair of the
+    # search's tails table, so the tracked objects it leaves are its maps,
+    # those prefixes and pairs, and the result list, not a positions tuple
+    # per map as well; the cyclic collector's work scales with them
+    A, B = five_to_six("collapsed")
+    levels = list(_index_maps(A.hom, B.hom, A.lattice.leq))
+    pairs = {t for _, tails in levels for t in tails}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        fs = enumerate_functors(A, B)
+        rise = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert (len(fs), len(levels), len(pairs)) == (6 ** 5, 6 ** 3, 6 ** 2)
+    assert rise <= len(fs) + len(levels) + len(pairs) + 1
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
