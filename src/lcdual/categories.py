@@ -11,32 +11,67 @@ domain order, and a presheaf the tuple of its values in base order; label
 views are read off these tuples.
 """
 
-from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .scalars import format_scalar
-from .lattices import EnrichingLattice
 
 
-@dataclass(frozen=True)
-class VCategory:
-    lattice: EnrichingLattice
-    objects: tuple
-    hom: tuple  # tuple of tuples of lattice values, hom[i][j] = Hom(objects[i], objects[j])
+class _Value:
+    """The shared part of the value types.  A subclass names its fields in
+    _fields and keeps them in __slots__; its constructor checks them and
+    stores them with _set.  Then == (within one class only) and hash go by
+    the field values, repr shows them by name, pickle and copy rebuild the
+    value through the constructor, and assigning or deleting an attribute
+    raises AttributeError."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = property(attrgetter(*cls._fields))  # the field values, as a tuple
+
+    def _set(self, **values):
+        for item in values.items():
+            object.__setattr__(self, *item)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__,
+                           ", ".join(map("%s=%r".__mod__, zip(self._fields, self._key))))
+
+    def __reduce__(self):
+        return self.__class__, self._key
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class VCategory(_Value):
+    """hom[i][j] = Hom(objects[i], objects[j]), a tuple of tuples of lattice values."""
+
+    _fields = ("lattice", "objects", "hom")
+    __slots__ = _fields + ("_pos",)
+
+    def __init__(self, lattice, objects, hom):
         # tuples whatever came in, so ==, hash and comparisons with computed tuples hold
-        object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "hom", tuple(map(tuple, self.hom)))
-        if len(set(self.objects)) != len(self.objects):
+        objects, hom = tuple(objects), tuple(map(tuple, hom))
+        if len(set(objects)) != len(objects):
             raise ValueError("object labels must be distinct")
-        n = len(self.objects)
-        if len(self.hom) != n or any(len(row) != n for row in self.hom):
+        n = len(objects)
+        if len(hom) != n or any(len(row) != n for row in hom):
             raise ValueError("hom matrix shape does not match the object list")
-        for row in self.hom:
-            self.lattice._checked(row)
-        object.__setattr__(self, "_pos", {a: i for i, a in enumerate(self.objects)})
+        for row in hom:
+            lattice._checked(row)
+        self._set(lattice=lattice, objects=objects, hom=hom,
+                  _pos={a: i for i, a in enumerate(objects)})
 
     def hom_at(self, a, b):
         return self.hom[self._pos[a]][self._pos[b]]
@@ -109,18 +144,19 @@ def _check_lattices(A, B):
                          % (A.lattice.name, B.lattice.name))
 
 
-@dataclass(frozen=True, init=False)
-class VFunctor(tuple):
+class VFunctor(_Value, tuple):
     """The functor sending domain.objects[i] to codomain.objects[positions[i]]:
-    a frozen dataclass stored as the tuple (domain, codomain, head, tail),
-    tail the last min(n, 2) positions and head the rest, so a search builds
-    one with a single tuple.__new__ from a level's prefix and a shared tail;
-    it equals only a VFunctor and is unordered."""
+    a frozen value with the fields domain, codomain and positions, stored as
+    the tuple (domain, codomain, head, tail), tail the last min(n, 2)
+    positions and head the rest, so a search builds one with a single
+    tuple.__new__ from a level's prefix and a shared tail; it equals only a
+    VFunctor, hashes like (domain, codomain, positions) and is unordered."""
 
     __slots__ = ()
-    domain: VCategory = property(itemgetter(0))
-    codomain: VCategory = property(itemgetter(1))
-    positions: tuple = property(lambda self: self[2] + self[3])
+    _fields = ("domain", "codomain", "positions")
+    domain = property(itemgetter(0))
+    codomain = property(itemgetter(1))
+    positions = property(lambda self: self[2] + self[3])
 
     def __new__(cls, domain, codomain, positions):
         positions = tuple(positions)
@@ -129,13 +165,7 @@ class VFunctor(tuple):
         k = max(len(positions) - 2, 0)
         return tuple.__new__(cls, (domain, codomain, positions[:k], positions[k:]))
 
-    def __getnewargs__(self):
-        return self[0], self[1], self.positions
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's field comparison
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's item comparison
 
     def __lt__(self, other):
         raise TypeError("functors are not ordered")
@@ -385,16 +415,17 @@ def self_enrichment(L, carrier):
     return VCategory(L, labels, [[L.hom(x, y) for y in carrier] for x in carrier])
 
 
-@dataclass(frozen=True)
-class Presheaf:
-    base: VCategory
-    values: tuple  # values[i]: the lattice value at base.objects[i]
+class Presheaf(_Value):
+    """values[i]: the lattice value at base.objects[i]."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != len(self.base.objects):
+    _fields = __slots__ = ("base", "values")
+
+    def __init__(self, base, values):
+        values = tuple(values)
+        if len(values) != len(base.objects):
             raise ValueError("a presheaf needs one value per base object")
-        self.base.lattice._checked(self.values)
+        base.lattice._checked(values)
+        self._set(base=base, values=values)
 
     def __call__(self, a):
         return self.values[self.base._pos[a]]

@@ -6,12 +6,11 @@ its entries.  The two "line and a point" families are not related by the
 swap and stay distinct.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from .scalars import NEG_INF, POS_INF, format_scalar
 from .lattices import get_lattice
-from .categories import VCategory, validate_category
+from .categories import VCategory, validate_category, _Value
 from .lconvex import grid_members
 
 WHOLE_PLANE = "WholePlane"
@@ -40,11 +39,14 @@ _FAMILY_OF_PATTERN = {
 }
 
 
-@dataclass(frozen=True)
-class TwoPointShape:
-    family: str
-    params: tuple  # the canonical matrix's finite off-diagonal entries, in order
-    swapped: bool  # whether the swap was applied to reach the canonical form
+class TwoPointShape(_Value):
+    """params: the canonical matrix's finite off-diagonal entries, in order;
+    swapped: whether the swap was applied to reach the canonical form."""
+
+    _fields = __slots__ = ("family", "params", "swapped")
+
+    def __init__(self, family, params, swapped):
+        self._set(family=family, params=params, swapped=swapped)
 
     def describe(self):
         out = self.family + "".join(

@@ -14,11 +14,9 @@ duplicate or missing matrix entries, and label mismatches are reported
 with line numbers.
 """
 
-from dataclasses import dataclass
-
 from .scalars import parse_scalar, format_scalar
 from .lattices import get_lattice
-from .categories import VCategory
+from .categories import VCategory, _Value
 from .lconvex import LConvexSet, GeneratorSet
 
 # kind: (its name with an article, its label-list key, its body-line key, its value type)
@@ -39,13 +37,15 @@ class DocumentError(Exception):
         super().__init__(message)
 
 
-@dataclass
-class Document:
-    kind: str
-    scalar: str
-    labels: tuple
-    matrix: tuple = None       # for matrix kinds
-    points: tuple = None       # for point kinds: tuples of scalars
+class Document(_Value):
+    """matrix for matrix kinds, points (tuples of scalars) for point kinds;
+    unlike the other value types, a Document is mutable and unhashable."""
+
+    _fields = __slots__ = ("kind", "scalar", "labels", "matrix", "points")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, kind, scalar, labels, matrix=None, points=None):
+        self._set(kind=kind, scalar=scalar, labels=labels, matrix=matrix, points=points)
 
 
 def _is_identifier(label):

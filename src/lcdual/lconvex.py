@@ -12,13 +12,12 @@ the generalized-metric laws (triangle inequality, diagonal 0 or -inf);
 without changing the feasible set.
 """
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .scalars import EXACT, NEG_INF, POS_INF, ext_add, ext_sub
 from .lattices import get_lattice
 from .categories import (
-    VCategory, validate_category, self_enrichment, residuals, _index_maps, _above,
+    VCategory, validate_category, self_enrichment, residuals, _index_maps, _above, _Value,
 )
 
 
@@ -30,9 +29,11 @@ def _require_kbar(L):
 class LConvexSet(VCategory):
     """A dbm is a category over kbar; index, dbm and bound are its L-convex names."""
 
-    def __post_init__(self):
-        _require_kbar(self.lattice)
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, lattice, objects, hom):
+        _require_kbar(lattice)
+        super().__init__(lattice, objects, hom)
 
     scalar_kind = property(lambda self: self.lattice.scalar_kind)
     index = property(lambda self: self.objects)
@@ -42,16 +43,15 @@ class LConvexSet(VCategory):
     matrix = property(lambda self: self.hom)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    index: tuple
-    points: tuple  # coordinate tuples in index order
-    scalar_kind: str = "int"
+class GeneratorSet(_Value):
+    """points: coordinate tuples in index order."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", tuple(self.index))
-        L = get_lattice("kbar", self.scalar_kind)
-        object.__setattr__(self, "points", _checked_points(self.points, len(self.index), L))
+    _fields = __slots__ = ("index", "points", "scalar_kind")
+
+    def __init__(self, index, points, scalar_kind="int"):
+        index = tuple(index)
+        L = get_lattice("kbar", scalar_kind)
+        self._set(index=index, points=_checked_points(points, len(index), L), scalar_kind=scalar_kind)
 
 
 def make_lcs(index, rows, scalar_kind="int"):

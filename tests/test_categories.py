@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import inspect
 import operator
 import pickle
@@ -69,7 +68,7 @@ def test_a_functor_built_from_a_list_is_its_tuple_twin():
     for A in (kcat([[0]]), kcat([[0, 3], [4, 0]])):
         for positions in ([0] * len(A.objects), list(range(len(A.objects)))):
             twin = VFunctor(A, A, tuple(positions))
-            for F in (VFunctor(A, A, positions), dataclasses.replace(twin, positions=positions)):
+            for F in (VFunctor(A, A, positions), VFunctor(domain=A, codomain=A, positions=positions)):
                 assert F.positions == twin.positions and type(F.positions) is tuple
                 assert F == twin and hash(F) == hash(twin)
                 assert F in enumerate_functors(A, A)
@@ -496,7 +495,7 @@ def test_vfunctor_rejects_bad_positions():
     C = kcat([[0, 3], [4, 0]])
     for bad in ((0,), (0, 1, 0), (0, 2), (0, 99), (0, -1), (0, True), (0, 1.0), (0, "1")):
         for build in (lambda: VFunctor(C, C, bad),
-                      lambda: dataclasses.replace(identity_functor(C), positions=bad)):
+                      lambda: VFunctor(domain=C, codomain=C, positions=bad)):
             with pytest.raises(ValueError,
                                match="^a functor needs one codomain index per domain object$"):
                 build()
@@ -507,11 +506,11 @@ def test_search_built_functors_are_frozen():
     B = kcat([[0, 2], [1, 0]], labels=("u", "v"))
     for F in enumerate_functors(A, B):
         before = (F.domain, F.codomain, F.positions)
-        for f in dataclasses.fields(F):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(F, f.name, getattr(F, f.name))
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(F, f.name)
+        for name in inspect.signature(VFunctor).parameters:
+            with pytest.raises(AttributeError):
+                setattr(F, name, getattr(F, name))
+            with pytest.raises(AttributeError):
+                delattr(F, name)
         assert (F.domain, F.codomain, F.positions) == before
 
 
@@ -524,7 +523,7 @@ def test_a_functor_equals_only_a_functor():
     F = enumerate_functors(A, B)[2]
     twin = VFunctor(A, B, list(F.positions))
     fields = (F.domain, F.codomain, F.positions)
-    assert dataclasses.is_dataclass(F) and dataclasses.is_dataclass(twin)
+    assert type(F) is type(twin) is VFunctor and repr(F) == repr(twin)
     assert F == twin and not F != twin
     assert hash(F) == hash(twin) == hash(fields)
     for G in (F, twin):
@@ -540,7 +539,7 @@ def test_a_functor_equals_only_a_functor():
 def test_vfunctor_init_takes_every_field():
     # VFunctor.__new__ checks and stores each field itself: a field added later must be a parameter
     params = list(inspect.signature(VFunctor.__new__).parameters)
-    assert params == ["cls"] + [f.name for f in dataclasses.fields(VFunctor)]
+    assert params == ["cls", *VFunctor._fields]
 
 
 def _random_enriched(rng, L):

@@ -1,5 +1,5 @@
 import copy
-import dataclasses
+import inspect
 import pickle
 import random
 from itertools import product
@@ -267,9 +267,9 @@ def test_search_built_homs_are_frozen():
     assert homs
     for phi in homs:
         before = (phi.domain, phi.codomain, phi.positions)
-        for f in dataclasses.fields(phi):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(phi, f.name, getattr(phi, f.name))
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(phi, f.name)
+        for name in inspect.signature(VFunctor).parameters:
+            with pytest.raises(AttributeError):
+                setattr(phi, name, getattr(phi, name))
+            with pytest.raises(AttributeError):
+                delattr(phi, name)
         assert (phi.domain, phi.codomain, phi.positions) == before

@@ -12,8 +12,8 @@ shared by every level whose tails are equal.
 """
 
 import copy
-import dataclasses
 import gc
+import inspect
 import pickle
 import random
 import sys
@@ -280,7 +280,7 @@ def test_bulk_built_functors_equal_constructed_ones():
     # tail it holds; they must be the same objects in every observable way,
     # also through every pickle protocol, of which 0 and 1 rebuild them past
     # __new__ too
-    names = [f.name for f in dataclasses.fields(VFunctor)]
+    names = list(inspect.signature(VFunctor).parameters)
     total = 0
     for A, B in _bulk_built_cases():
         fs = enumerate_functors(A, B)
