@@ -415,16 +415,22 @@ def self_enrichment(L, carrier):
     return VCategory(L, labels, [[L.hom(x, y) for y in carrier] for x in carrier])
 
 
+def _checked_points(points, n, L):
+    """points as a tuple of tuples, each of n coordinates in L's carrier: the point rule."""
+    points = tuple(map(tuple, points))
+    if any(len(p) != n for p in points):
+        raise ValueError("a point needs %d coordinates, one per index" % n)
+    L._checked([x for p in points for x in p])
+    return points
+
+
 class Presheaf(_Value):
-    """values[i]: the lattice value at base.objects[i]."""
+    """values[i]: the lattice value at base.objects[i], a point under the point rule."""
 
     _fields = __slots__ = ("base", "values")
 
     def __init__(self, base, values):
-        values = tuple(values)
-        if len(values) != len(base.objects):
-            raise ValueError("a presheaf needs one value per base object")
-        base.lattice._checked(values)
+        (values,) = _checked_points((values,), len(base.objects), base.lattice)
         self._set(base=base, values=values)
 
     def __call__(self, a):

@@ -16,9 +16,9 @@ correspondence.
 
 from .categories import (
     VCategory, VFunctor, make_functor, require_category, is_functor, canonical_leq,
-    enumerate_functors,
+    enumerate_functors, _checked_points,
 )
-from .lconvex import LConvexSet, _checked_points
+from .lconvex import LConvexSet
 
 PI_PREFIX = "pi_"
 
@@ -29,7 +29,7 @@ def make_homomorphism(D, E, mapping):
 
 
 def pullback(phi, p):
-    """The underlying point map: p, a point of phi.codomain, precomposed with phi's positions."""
+    """The point p of phi.codomain, under the point rule, restricted along phi's positions."""
     (p,) = _checked_points((p,), len(phi.codomain.objects), phi.codomain.lattice)
     return tuple(p[j] for j in phi.positions)
 

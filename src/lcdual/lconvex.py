@@ -1,23 +1,25 @@
 """Extended L-convex sets in difference-bound-matrix form.
 
-A point p is the tuple of its coordinates in index order.  A set of
-points closed under coordinatewise sup/inf and under adding constant
-vectors is represented canonically by a square matrix dbm with
+A point p is the tuple of its coordinates in index order, under the
+point rule `categories._checked_points`.  A set of points closed under
+coordinatewise sup/inf and under adding constant vectors is represented
+canonically by a square matrix dbm with
 
-    p is a member  iff  dbm[v][w] >= p(w) - p(v)  for all v, w
+    p is a member  iff  dbm[v][w] >= p(w) - p(v)  for all v, w,
 
-using the extended subtraction tables.  The matrix itself must satisfy
-the generalized-metric laws (triangle inequality, diagonal 0 or -inf);
-`closure` turns arbitrary raw difference constraints into that form
-without changing the feasible set.
+the presheaf condition on dbm's opposite, which `member` tests.  The
+matrix itself must satisfy the generalized-metric laws (triangle
+inequality, diagonal 0 or -inf); `closure` turns arbitrary raw
+difference constraints into that form without changing the feasible set.
 """
 
 from decimal import Decimal, localcontext
 
-from .scalars import EXACT, NEG_INF, POS_INF, ext_add, ext_sub
+from .scalars import EXACT, NEG_INF, POS_INF
 from .lattices import get_lattice
 from .categories import (
-    VCategory, validate_category, self_enrichment, residuals, _index_maps, _above, _Value,
+    VCategory, Presheaf, opposite, is_presheaf, validate_category, self_enrichment, residuals,
+    _index_maps, _checked_points, _Value,
 )
 
 
@@ -61,19 +63,9 @@ def make_lcs(index, rows, scalar_kind="int"):
 validate_lcs = validate_category
 
 
-def _checked_points(points, n, L):
-    """points as a tuple of tuples, each of n coordinates in L's carrier: the point rule."""
-    points = tuple(map(tuple, points))
-    if any(len(p) != n for p in points):
-        raise ValueError("a point needs %d coordinates, one per index" % n)
-    L._checked([x for p in points for x in p])
-    return points
-
-
 def member(D, p):
-    """Membership: every bound dbm[v][w] is below hom(p(v), p(w)) = p(w) - p(v) in kbar."""
-    (p,) = _checked_points((p,), len(D.index), D.lattice)
-    return not _above(D.lattice.leq, D.dbm, [[ext_sub(y, x) for y in p] for x in p])
+    """Membership: p is a presheaf on D's opposite, each dbm[v][w] below p(w) - p(v) in kbar."""
+    return is_presheaf(Presheaf(opposite(D), p))
 
 
 def from_generators(S):
@@ -141,12 +133,12 @@ _POINT_LATTICE = get_lattice("kbar", "real")
 
 
 def weight_shift(p, alpha, sign="plus"):
-    """Add or subtract the constant vector alpha * 1 coordinatewise."""
+    """Add or subtract alpha * 1 coordinatewise: the tensor alpha (x) p, or hom(alpha, p)."""
     *p, alpha = _POINT_LATTICE._checked((*p, alpha))
     if sign == "plus":
-        return tuple(ext_add(x, alpha) for x in p)
+        return tuple(_POINT_LATTICE._tensor(x, alpha) for x in p)
     if sign == "minus":
-        return tuple(ext_sub(x, alpha) for x in p)
+        return tuple(_POINT_LATTICE._hom(alpha, x) for x in p)
     raise ValueError("sign must be 'plus' or 'minus'")
 
 

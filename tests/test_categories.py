@@ -228,7 +228,7 @@ def test_presheaf_checks():
 def test_presheaf_needs_one_value_per_object():
     C = kcat([[0, 3], [4, 0]])
     for values in ((), (fin(0),), (fin(0), fin(0), fin(0))):
-        with pytest.raises(ValueError, match="^a presheaf needs one value per base object$"):
+        with pytest.raises(ValueError, match="^a point needs 2 coordinates, one per index$"):
             Presheaf(C, values)
 
 

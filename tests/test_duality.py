@@ -215,7 +215,10 @@ def test_ordering_duality_small():
 
 
 def test_presheaf_members_correspondence():
-    # membership in the dual of the opposite category = being a presheaf
+    # membership in the dual of the opposite category = being a presheaf; member
+    # is defined as this test, so it restates the definition, and the oracle
+    # checks of member are test_grid_members_matches_the_member_filter and
+    # test_real_member_matches_the_int_grid_oracle in test_lconvex.py
     rng = random.Random(41)
     for _ in range(20):
         A = random_valid_kcat(rng, 2)

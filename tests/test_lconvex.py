@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcdual.scalars import NEG_INF, POS_INF, fin, ext_sub, format_scalar
 from lcdual.lattices import get_lattice
-from lcdual.categories import VCategory, validate_category
+from lcdual.categories import VCategory, Presheaf, opposite, validate_category
 from lcdual.duality import cat_to_lcs, make_homomorphism, pullback
 from lcdual.lconvex import (
     LConvexSet, GeneratorSet,
@@ -400,6 +400,8 @@ def test_points_must_match_the_arity(p):
     D = lcs([[0, 1], [1, 0]])
     phi = make_homomorphism(D, D, {"v": "w", "w": "v"})
     for check in (lambda: member(D, p),
+                  lambda: Presheaf(D, p),
+                  lambda: Presheaf(opposite(D), p),
                   lambda: from_generators(GeneratorSet(("v", "w"), (pt(v=0, w=0), p))),
                   lambda: pullback(phi, p),
                   lambda: point_sup([pt(v=0, w=0), p], 2),
@@ -408,21 +410,87 @@ def test_points_must_match_the_arity(p):
             check()
 
 
+def _halved(x):
+    return x if x in (NEG_INF, POS_INF) else Decimal(x) / 2
+
+
+def _doubled(x):
+    return x if x in (NEG_INF, POS_INF) else int(2 * x)
+
+
 def test_membership_closed_under_lattice_ops_and_shifts():
-    # order and weight completeness, exercised on grid members
+    # order and weight completeness, exercised on grid members; a real set is
+    # an int one halved, whose members are the halved int members
     rng = random.Random(13)
-    shifts = [NEG_INF, fin(-2), fin(0), fin(1), POS_INF]
-    for _ in range(15):
-        D = random_valid_lcs(rng, 2)
-        members = grid_members(D, 2)
-        sample = members if len(members) <= 12 else rng.sample(members, 12)
-        for p in sample:
-            for q in sample:
-                assert member(D, point_sup([p, q], 2))
-                assert member(D, point_inf([p, q], 2))
-            for alpha in shifts:
-                assert member(D, weight_shift(p, alpha, "plus"))
-                assert member(D, weight_shift(p, alpha, "minus"))
+    for kind, n in product(("int", "real"), (2, 3)):
+        shifts = [NEG_INF, fin(-2), fin(0), fin(1), POS_INF]
+        if kind == "real":
+            shifts += [Decimal("-1.5"), Decimal("0.5")]
+        for _ in range(15):
+            D = random_valid_lcs(rng, n)
+            members = grid_members(D, 2)
+            if kind == "real":
+                D = make_lcs(D.index, [list(map(_halved, row)) for row in D.dbm], "real")
+                members = [tuple(map(_halved, p)) for p in members]
+            sample = members if len(members) <= 12 else rng.sample(members, 12)
+            for p in sample:
+                for q in sample:
+                    assert member(D, point_sup([p, q], n))
+                    assert member(D, point_inf([p, q], n))
+                for alpha in shifts:
+                    assert member(D, weight_shift(p, alpha, "plus"))
+                    assert member(D, weight_shift(p, alpha, "minus"))
+
+
+# payloads of the real carrier: ints, finite Decimals and both infinities
+_PAYLOADS = st.one_of(st.integers(-10**20, 10**20),
+                      st.decimals(-10**6, 10**6, allow_nan=False, allow_infinity=False, places=2),
+                      st.sampled_from([NEG_INF, POS_INF]))
+_REAL = get_lattice("kbar", "real")
+
+
+def _typed(p):
+    return [(type(x), format_scalar(x)) for x in p]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_PAYLOADS, max_size=4), _PAYLOADS)
+def test_weight_shift_is_the_tensor_and_its_adjoint(p, alpha):
+    # alpha (x) p and the hom out of alpha, coordinate by coordinate
+    assert _typed(weight_shift(p, alpha, "plus")) == _typed(_REAL.tensor(x, alpha) for x in p)
+    assert _typed(weight_shift(p, alpha, "minus")) == _typed(_REAL.hom(alpha, x) for x in p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[_PAYLOADS] * n), max_size=4))))
+def test_point_sup_inf_are_the_pointwise_lattice_sup_inf(case):
+    # the empty family included: the all-inf and all-(-inf) points
+    n, points = case
+    assert _typed(point_sup(points, n)) == _typed(_REAL.sup([p[i] for p in points]) for i in range(n))
+    assert _typed(point_inf(points, n)) == _typed(_REAL.inf([p[i] for p in points]) for i in range(n))
+
+
+def test_real_member_matches_the_int_grid_oracle():
+    # doubling is an order isomorphism of kbar that commutes with + and -, so
+    # p is a member of R iff 2p is a member of the int set 2R, and
+    # grid_members finds those by search, without member
+    rng = random.Random(4343)
+    halves = [NEG_INF, POS_INF] + [Decimal(v) / 2 for v in range(-7, 8)]
+    found = 0
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        raw = make_lcs("vwx"[:n], [[rng.choice(halves) for _ in range(n)] for _ in range(n)], "real")
+        for R in (raw, closure(raw)):
+            doubled = make_lcs(R.index, [list(map(_doubled, row)) for row in R.dbm])
+            for bound in range(3):
+                members = set(grid_members(doubled, bound))
+                grid = [NEG_INF] + [Decimal(v) / 2 for v in range(-bound, bound + 1)] + [POS_INF]
+                for p in product(grid, repeat=n):
+                    got = member(R, p)
+                    assert got == (tuple(map(_doubled, p)) in members), (R.dbm, p)
+                    found += got
+    assert found
 
 
 def test_canonical_points():
