@@ -147,10 +147,11 @@ def _check_lattices(A, B):
 class VFunctor(_Value, tuple):
     """The functor sending domain.objects[i] to codomain.objects[positions[i]]:
     a frozen value with the fields domain, codomain and positions, stored as
-    the tuple (domain, codomain, head, tail), tail the last min(n, 2)
-    positions and head the rest, so a search builds one with a single
-    tuple.__new__ from a level's prefix and a shared tail; it equals only a
-    VFunctor, hashes like (domain, codomain, positions) and is unordered."""
+    the tuple (domain, codomain, head, tail), tail the last _tail_width(n)
+    positions (three from four objects up, else min(n, 2)) and head the
+    rest, so a search builds one with a single tuple.__new__ from a level's
+    prefix and a shared tail; it equals only a VFunctor, hashes like
+    (domain, codomain, positions) and is unordered."""
 
     __slots__ = ()
     _fields = ("domain", "codomain", "positions")
@@ -162,7 +163,7 @@ class VFunctor(_Value, tuple):
         positions = tuple(positions)
         _check_lattices(domain, codomain)
         _check_positions(positions, len(domain.objects), len(codomain.objects))
-        k = max(len(positions) - 2, 0)
+        k = len(positions) - _tail_width(len(positions))
         return tuple.__new__(cls, (domain, codomain, positions[:k], positions[k:]))
 
     __ne__ = object.__ne__  # the inverse of __eq__, not tuple's item comparison
@@ -205,28 +206,37 @@ def identity_functor(C):
     return VFunctor(C, C, tuple(range(len(C.objects))))
 
 
+def _tail_width(n):
+    """How many last objects of an n-object domain a search level hands over
+    as one table: three from four objects up, two of three (where a table of
+    all three would be one unshared level), else all of them."""
+    return 3 if n > 3 else min(n, 2)
+
+
 def _index_maps(src, dst, leq):
     """Every index map c that passes the increasing condition, lexicographic,
     yielded one level at a time: a level is a pair (prefix, tails), the
-    positions of every object but the last two and the last two objects'
-    positions as (y, z) pairs in lexicographic order, so its maps are
-    prefix + t for t in tails.  Every level has at least one tail; a
-    one-object src has at most the one level ((), its values as 1-tuples),
-    and an empty src has the one level ((), ((),)).
+    positions of every object but the last w = _tail_width(n) and those w
+    objects' positions as w-tuples in lexicographic order, so its maps are
+    prefix + t for t in tails.  Every level has at least one tail; a src of
+    one or two objects has at most the one level ((), tails), and an empty
+    src has the one level ((), ((),)).
 
     Depth-first search with forward checking (Haralick & Elliott 1980) over
     bitmask domains (Ullmann 1976): objects are assigned in src order,
     values tried lowest bit first, and each assignment narrows every later
     object's domain with one AND to the values compatible with it both ways;
-    an empty domain cuts the branch.  Once every object but the last two is
-    assigned, the maps left depend only on those two objects' domains, so
-    that level is handed over whole; its tails tuple is built once per
-    distinct pair of domain masks and shared by every level with that pair.
-    leq runs only to tabulate, in one C-level pass over dst's entries per
-    distinct src value: exactly len(set(src values)) * |dst|^2 calls, each
-    of which must return a bool, as every lattice's leq does.  A pass is
-    kept as |dst|^2 bytes and packed into ints of |dst|^2 bits only where
-    the search reads it, so the table stays O(|dst|^2) per value.
+    an empty domain cuts the branch.  Once every object but the last w is
+    assigned, the maps left depend only on those objects' domains, so that
+    level is handed over whole; its tails tuple is built once per distinct
+    tuple of domain masks, from the pairwise masks the search holds, and
+    shared by every level with those masks: a dense 5 -> 6 search hands
+    over 36 levels sharing one 216-entry table.  leq runs only to tabulate,
+    in one C-level pass over dst's entries per distinct src value: exactly
+    len(set(src values)) * |dst|^2 calls, each of which must return a bool,
+    as every lattice's leq does.  A pass is kept as |dst|^2 bytes and
+    packed into ints of |dst|^2 bits only where the search reads it, so the
+    table stays O(|dst|^2) per value.
     """
     n = len(src)
     if n == 0:
@@ -254,22 +264,29 @@ def _index_maps(src, dst, leq):
         if domains[0][0]:
             yield (), tuple((y,) for y in _bits(domains[0][0]))
         return
-    to_last = both[-2][-1]  # to_last[y]: the z object n - 1 may take beside y at n - 2
-    tables = {}  # (mask of object n - 2, mask of object n - 1) -> their (y, z) pairs
+    w = _tail_width(n)
+    tables = {}  # the last w objects' domain masks -> their tails
 
-    def pairs(a, b):
-        t = tables.get((a, b))
+    def table(*masks):
+        t = tables.get(masks)
         if t is None:
-            t = tables[a, b] = tuple((y, z) for y in _bits(a) for z in _bits(b & to_last[y]))
+            if w == 3:  # x, y, z at objects n - 3, n - 2, n - 1
+                (a, b, c), (xy, xz), (yz,) = masks, both[-3], both[-2]
+                t = [(x, y, z) for x in _bits(a) for y in _bits(b & xy[x])
+                     for z in _bits(c & xz[x] & yz[y])]
+            else:
+                (b, c), (yz,) = masks, both[-2]
+                t = [(y, z) for y in _bits(b) for z in _bits(c & yz[y])]
+            t = tables[masks] = tuple(t)
         return t
 
     if n == 2:
-        t = pairs(*domains[0])
+        t = table(*domains[0])
         if t:
             yield (), t
         return
-    leaf = n - 3  # the last object assigned before a level is handed over
-    c = [0] * (n - 2)
+    leaf = n - w - 1  # the last object assigned before a level is handed over
+    c = [0] * (leaf + 1)
     untried = [domains[0][0]]  # untried[i]: the values of object i not yet tried
     while untried:
         i = len(untried) - 1
@@ -283,7 +300,10 @@ def _index_maps(src, dst, leq):
         c[i] = x = low.bit_length() - 1
         if i == leaf:
             d, step = domains[i], both[i]
-            t = pairs(d[-2] & step[0][x], d[-1] & step[1][x])
+            if w == 3:
+                t = table(d[-3] & step[0][x], d[-2] & step[1][x], d[-1] & step[2][x])
+            else:
+                t = table(d[-2] & step[0][x], d[-1] & step[1][x])
             if t:
                 yield tuple(c), t
             continue
@@ -368,18 +388,19 @@ def _functors(domain, codomain, levels):
 
     Each level (prefix, tails) of _index_maps is checked whole under the
     position rule that VFunctor.__new__ applies: the prefix once per level as
-    the positions of every object but the last two (or fewer), each tails
+    the positions of every object but the last _tail_width(n), each tails
     tuple once per distinct tuple as those last positions.  A tails tuple is
-    remembered by identity, so no level hashes its pairs, and an equal tuple
+    remembered by identity, so no level hashes its entries, and an equal tuple
     that is not the one checked is checked again, since (True, 0) and (1.0, 0)
     equal (1, 0).  The results are then built in one C-level pass after the
     checks: each is the tuple (domain, codomain, prefix, t) for a tail t of
     its level, objects the search already holds, made a VFunctor by one
     tuple.__new__, so each map costs one allocation and no Python frame, and
-    each level two list appends.
+    each level two list appends; a dense 5 -> 6 search has 7,776 maps in 36
+    levels that share one 216-entry tails tuple.
     """
     m = len(codomain.objects)
-    width = min(len(domain.objects), 2)  # every map's last two positions, or fewer
+    width = _tail_width(len(domain.objects))
     head = len(domain.objects) - width
     checked = {}  # id(tails) -> the tails tuple that passed the check, kept so its id is not reused
     prefixes, level_tails = [], []

@@ -549,6 +549,21 @@ def test_grid_members_matches_the_member_filter():
                 assert grid_members(D, bound) == want
                 found += len(want)
     assert found
+    # four and five indices, where the search hands over its last three at
+    # once: bounds from a hidden potential plus slack, so the sets are not empty
+    wide = 0
+    for n in (4, 5):
+        for _ in range(4):
+            pot = [rng.randint(-1, 1) for _ in range(n)]
+            raw = make_lcs("vwxyz"[:n], [[fin(0) if i == j else rng.choice(
+                [POS_INF, fin(pot[j] - pot[i] + rng.randint(0, 2))]) for j in range(n)]
+                for i in range(n)])
+            for D in (raw, closure(raw)):
+                for bound in range(2):
+                    want = _grid_by_member(D, bound)
+                    assert grid_members(D, bound) == want
+                    wide += len(want) - 2  # beyond the all -inf and all inf points
+    assert wide
 
 
 def test_grid_members_whole_plane():

@@ -7,8 +7,9 @@ independently: functors by the per-pair increasing condition, homs by
 pulling back grid members and canonical points.  A work count holds the
 search to exactly one order call per distinct source value and target
 entry, and the same test pins the search's levels: non-empty, each a run
-of maps that differ only in their last two positions, with one tails tuple
-shared by every level whose tails are equal.
+of maps that differ only in their last three positions (two or fewer on a
+domain of at most three objects), with one tails tuple shared by every
+level whose tails are equal.
 """
 
 import copy
@@ -168,21 +169,22 @@ def test_search_work_is_bounded_by_the_condition_table(lattice):
 
         levels = list(_index_maps(A.hom, B.hom, leq))
         n = len(A.objects)
+        w = 3 if n >= 4 else min(n, 2)  # the tail width
         got, shared = [], {}
         for prefix, tails in levels:
             assert tails
             if A.objects:
-                assert len(prefix) == max(n - 2, 0)
-                assert all(len(t) == min(n, 2) for t in tails)
+                assert len(prefix) == max(n - w, 0)
+                assert all(len(t) == w for t in tails)
                 assert list(tails) == sorted(set(tails))
             else:
                 assert (prefix, tails) == ((), ((),))
             assert shared.setdefault(tails, tails) is tails
             got += [prefix + t for t in tails]
         assert len(levels) == len({prefix for prefix, _ in levels})
-        assert len(levels) <= len(B.objects) ** max(n - 2, 0)
+        assert len(levels) <= len(B.objects) ** max(n - w, 0)
         if A is collapsed:
-            assert len(levels) == 5 ** 2 and len(shared) == 1
+            assert len(levels) == 5 and len(shared) == 1
         assert [tuple(B.objects[j] for j in c) for c in got] == oracle_functors(A, B)
         assert len(calls) == len({v for row in A.hom for v in row}) * len(B.objects) ** 2
 
@@ -230,16 +232,16 @@ def _bad_levels(levels):
     """Each way to spoil one level of levels, at the first, a middle and the last level."""
     for where in (0, len(levels) // 2, len(levels) - 1):
         prefix, tails = levels[where]
-        # the tail (1, 1) where there is one: spoiled by True or 1.0 in either
+        # the tail (1, 1, 1) where there is one: spoiled by True or 1.0 in any
         # coordinate, the level still equals the one the search emits, by value
-        k = tails.index((1, 1)) if (1, 1) in tails else len(tails) - 1
-        y, z = tails[k]
+        k = tails.index((1, 1, 1)) if (1, 1, 1) in tails else len(tails) - 1
+        tail = tails[k]
         spoiled = [(prefix[:-1] + (bad,), tails) for bad in BAD_ENTRIES]
-        spoiled += [(prefix, tails[:k] + (t,) + tails[k + 1:])
-                    for bad in BAD_ENTRIES for t in ((bad, z), (y, bad))]
+        spoiled += [(prefix, tails[:k] + (tail[:j] + (bad,) + tail[j + 1:],) + tails[k + 1:])
+                    for bad in BAD_ENTRIES for j in range(3)]
         spoiled += [(prefix[:-1], tails), (prefix + (0,), tails),  # short and long prefix
-                    (prefix, tails[:1] + ((0,),) + tails[1:]),  # a 1-tuple tail
-                    (prefix, tails[:1] + ((0, 0, 0),) + tails[1:])]  # a 3-tuple tail
+                    (prefix, tails[:1] + ((0, 0),) + tails[1:]),  # a 2-tuple tail
+                    (prefix, tails[:1] + ((0, 0, 0, 0),) + tails[1:])]  # a 4-tuple tail
         for level in spoiled:
             yield levels[:where] + [level] + levels[where + 1:]
 
@@ -259,7 +261,7 @@ def test_every_search_result_is_checked(monkeypatch, kind):
             with pytest.raises(ValueError, match="^a functor needs one codomain index per domain object$"):
                 search()
             cases += 1
-    assert cases == 3 * 16 * 2
+    assert cases == 3 * 20 * 2
 
 
 def _bulk_built_cases():
@@ -268,7 +270,7 @@ def _bulk_built_cases():
     rng = random.Random("bulk")
     for lattice in LATTICES:
         L = get_lattice(lattice)
-        # 3 and 4 objects: heads of length 1 and 2 beside the 2-position tail
+        # 3 and 4 objects: a head of length 1 beside a 2- and a 3-position tail
         for n in (0, 1, 2, 3, 4):
             for _ in range(5):
                 yield (random_category(rng, L, n, "abcd"),
@@ -318,42 +320,46 @@ def test_a_dense_search_runs_no_python_frame_per_result():
         fs = enumerate_functors(A, B)
     finally:
         sys.setprofile(outer)
-    assert len(fs) == 6 ** 5 and len(levels) == 6 ** 3
-    assert len(calls) <= 5 * len(levels)
+    assert len(fs) == 6 ** 5 and len(levels) == 6 ** 2
+    assert len(calls) <= 5 * 6 ** 3
 
 
 def test_a_dense_search_leaves_one_tracked_object_per_result():
-    # each result is one tuple sharing the level's prefix and a pair of the
+    # each result is one tuple sharing the level's prefix and an entry of the
     # search's tails table, so the tracked objects it leaves are its maps,
-    # those prefixes and pairs, and the result list, not a positions tuple
+    # those prefixes and entries, and the result list, not a positions tuple
     # per map as well; the cyclic collector's work scales with them
-    A, B = five_to_six("collapsed")
-    levels = list(_index_maps(A.hom, B.hom, A.lattice.leq))
-    pairs = {t for _, tails in levels for t in tails}
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        fs = enumerate_functors(A, B)
-        rise = len(gc.get_objects()) - before
-    finally:
-        if enabled:
-            gc.enable()
-    assert (len(fs), len(levels), len(pairs)) == (6 ** 5, 6 ** 3, 6 ** 2)
-    assert rise <= len(fs) + len(levels) + len(pairs) + 1
+    for n, (A, B) in ((5, five_to_six("collapsed")), (6, (kcat([[NINF] * 6] * 6),) * 2)):
+        levels = list(_index_maps(A.hom, B.hom, A.lattice.leq))
+        entries = {t for _, tails in levels for t in tails}
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            fs = enumerate_functors(A, B)
+            rise = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert (len(fs), len(levels), len(entries)) == (6 ** n, 6 ** (n - 3), 6 ** 3)
+        assert rise <= len(fs) + len(levels) + len(entries) + 1
+        del fs
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_one_and_two_object_domains_match_oracle(lattice, n):
-    # the last two objects' values are emitted as one level; with one or
-    # two objects that level is the first, with three it hangs off the first
+    # the last objects' values are emitted as one level: with one or two
+    # objects, all of them in the first level; with three, the last two,
+    # hanging off the first object; with four or five, the last three,
+    # after a prefix of one or two objects
     L = get_lattice(lattice)
     rng = random.Random("last-level/%s/%d" % (lattice, n))
     kept = rejected = 0
     for _ in range(40):
-        A = random_category(rng, L, n, ("a", "b", "c"))
-        B = random_category(rng, L, rng.randint(1, 6), "uvwxyz")
+        A = random_category(rng, L, n, "abcde")
+        # at most 4 codomain objects beside 4 or 5 domain objects, so the oracle stays cheap
+        B = random_category(rng, L, rng.randint(1, 6 if n <= 3 else 4), "uvwxyz")
         want = oracle_functors(A, B)
         assert functor_images(A, B) == want
         kept += len(want)
