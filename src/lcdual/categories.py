@@ -463,10 +463,15 @@ def make_presheaf(base, mapping):
     return Presheaf(base, _by_object(base, mapping))
 
 
+def _nonexpansive(L, hom, values):
+    """hom[a][b] below hom_L(values[b], values[a]) for all a, b: the presheaf
+    test on a hom matrix and a point, both already checked."""
+    return not _above(L.leq, hom, [[L._hom(vb, va) for vb in values] for va in values])
+
+
 def is_presheaf(p):
     """Contravariant nonexpansiveness: hom(a,b) below hom_L(p(b), p(a))."""
-    L, v = p.base.lattice, p.values
-    return not _above(L.leq, p.base.hom, [[L._hom(vb, va) for vb in v] for va in v])
+    return _nonexpansive(p.base.lattice, p.base.hom, p.values)
 
 
 def presheaf_dist(p1, p2):

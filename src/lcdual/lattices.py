@@ -21,9 +21,10 @@ from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_sca
 
 class EnrichingLattice:
     """Shared machinery.  Each lattice defines contains(x), leq(x, y) (the
-    order, x below y), the raw formulas _tensor(x, y), _hom(x, y), _sup(xs)
-    and _inf(xs) (xs a tuple or list), unit and carrier_grid(bound), the
-    finite slice of the carrier the law checks use; tensor and hom check both
+    order, x below y), the raw formulas _tensor(x, y), _hom(x, y), _join(xs)
+    and _meet(xs) (the sup and inf of a nonempty tuple or list xs), the empty
+    sup and inf _bottom and _top, unit and carrier_grid(bound), the finite
+    slice of the carrier the law checks use; tensor and hom check both
     operands, sup and inf every term, then run the raw formula."""
 
     name = None
@@ -55,6 +56,12 @@ class EnrichingLattice:
         self._checked((x, y))
         return self._hom(x, y)
 
+    def _sup(self, xs):
+        return self._join(xs) if xs else self._bottom
+
+    def _inf(self, xs):
+        return self._meet(xs) if xs else self._top
+
     def sup(self, xs):
         return self._sup(self._checked(xs))
 
@@ -77,7 +84,8 @@ class TwoLattice(EnrichingLattice):
     """Truth values ordered by entailment; tensor is conjunction."""
 
     name = "two"
-    unit = TRUE
+    unit = _top = TRUE
+    _bottom = FALSE
 
     def contains(self, x):
         return x is TRUE or x is FALSE
@@ -91,10 +99,12 @@ class TwoLattice(EnrichingLattice):
     def _hom(self, x, y):
         return TRUE if x is FALSE or y is TRUE else FALSE
 
-    def _sup(self, xs):
+    @staticmethod
+    def _join(xs):
         return TRUE if TRUE in xs else FALSE
 
-    def _inf(self, xs):
+    @staticmethod
+    def _meet(xs):
         return FALSE if FALSE in xs else TRUE
 
     def carrier_grid(self, bound):
@@ -113,14 +123,9 @@ class _NumericLattice(EnrichingLattice):
     # x >= y as a builtin: a C-level map over it runs no Python frame
     leq = staticmethod(ge)
 
-    # the law suite calls _sup/_inf thousands of times: min(xs) if xs else ...
-    # gives the same value as min(xs, default=...) without the keyword parse
-    def _sup(self, xs):
-        # lattice sup = usual minimum; empty sup is the lattice bottom.
-        return min(xs) if xs else POS_INF
-
-    def _inf(self, xs):
-        return max(xs) if xs else self._top
+    # sup = usual min, inf = usual max; a C-level map over a builtin runs no frame
+    _join, _meet = staticmethod(min), staticmethod(max)
+    _bottom = POS_INF
 
     def _grid(self, lo, bound):
         mk = Decimal if self._real else int
@@ -210,10 +215,10 @@ def law_violations(L, bound=3, max_subset=3):
     columns, one entry per law instance; Python walks only the failing ones,
     to write their notes in order.  The grid, and for each y the columns
     tensor(s, y), hom(y, s) and hom(s, y), are checked against the carrier
-    once, so every term the raw _sup/_inf receive is checked.
+    once, so every term the raw _join/_meet receive is checked.
     """
     G = L._checked(L.carrier_grid(bound))
-    n, leq, unit, _sup, _inf = len(G), L.leq, L.unit, L._sup, L._inf
+    n, leq, unit, join, meet = len(G), L.leq, L.unit, L._join, L._meet
     bad = []
 
     def note(msg, *vals):
@@ -222,6 +227,9 @@ def law_violations(L, bound=3, max_subset=3):
     def walk(at, msgs, *flags):
         """At each index k where some flag is true, in order, note every
         message whose flag is true there, with the values at(k)."""
+        flags = list(map(list, flags))
+        if not any(map(any, flags)):  # a block that holds costs one scan
+            return
         rows = list(zip(*flags))  # in lockstep: each instance's laws in order
         for k, row in compress(enumerate(rows), map(any, rows)):
             for msg in compress(msgs, row):
@@ -264,35 +272,34 @@ def law_violations(L, bound=3, max_subset=3):
          map(not_, map(leq, rows_of(Ht, xs), rows_of(Ht, ys))),
          map(not_, map(leq, rows_of(H, ys), rows_of(H, xs))))
 
-    # per subset size k, the position columns: zipping a column's entries at
-    # them gives every subset's image tuple; the empty subset's is ()
-    sizes = [(k, list(zip(*combinations(range(n), k)))) for k in range(max(max_subset, 0) + 1)]
+    ks = range(1, max_subset + 1)
+    bottom, top = L._sup(()), L._inf(())
 
-    def images(col):  # each subset's image tuple in col, in subset order
-        return chain.from_iterable(zip(*[map(col.__getitem__, ps) for ps in positions])
-                                   if k else [()] for k, positions in sizes)
+    def reduced(col, op, empty):  # op over each subset of col, the empty one first, then by size
+        return chain((empty,), *map(map, repeat(op), map(combinations, repeat(col), ks)))
 
-    subsets = list(images(G))
-    sups, infs = list(map(_sup, subsets)), list(map(_inf, subsets))
+    sizes = list(reduced(G, len, 0))
+    sups, infs = list(reduced(G, join, bottom)), list(reduced(G, meet, top))
     some_sups, some_infs = list(set(sups)), list(set(infs))  # each distinct value once
-    flags = [], [], []
+    subset_msgs = ["tensor(-, %s) fails to preserve sups on a %s-subset",
+                   "hom(%s, -) fails to preserve infs on a %s-subset",
+                   "hom(-, %s) fails to turn sups into infs on a %s-subset"]
     for t_col, h_row, h_col, y in zip(Tt, H, Ht, G):
-        if max_subset > 0:
+        if ks:
             L._checked(t_col + h_row + h_col)
         t_at = dict(zip(some_sups, map(tensor, some_sups, repeat(y)))).__getitem__
         hr_at = dict(zip(some_infs, map(hom, repeat(y), some_infs))).__getitem__
         hc_at = dict(zip(some_sups, map(hom, some_sups, repeat(y)))).__getitem__
-        flags[0].extend(map(ne, map(t_at, sups), map(_sup, images(t_col))))
-        flags[1].extend(map(ne, map(hr_at, infs), map(_inf, images(h_row))))
-        flags[2].extend(map(ne, map(hc_at, sups), map(_inf, images(h_col))))
-    walk(lambda k: (G[k // len(subsets)], len(subsets[k % len(subsets)])),
-         ["tensor(-, %s) fails to preserve sups on a %s-subset",
-          "hom(%s, -) fails to preserve infs on a %s-subset",
-          "hom(-, %s) fails to turn sups into infs on a %s-subset"], *flags)
+        # each law's two sides over every subset; y's notes come before the next y's
+        want = list(map(t_at, sups)), list(map(hr_at, infs)), list(map(hc_at, sups))
+        got = (list(reduced(t_col, join, bottom)), list(reduced(h_row, meet, top)),
+               list(reduced(h_col, meet, top)))
+        if want != got:
+            walk(lambda k: (y, sizes[k]), subset_msgs, *map(map, repeat(ne), want, got))
 
     # per (y, z): the sup of the x with tensor(x, y) <= z
     below = map(map, repeat(leq), spread(Tt, n), map(repeat, G * n))
-    recovered = list(map(_sup, map(tuple, map(compress, repeat(G), below))))
+    recovered = list(map(L._sup, map(tuple, map(compress, repeat(G), below))))
     for k in compress(range(n * n), map(ne, recovered, flat_H)):
         # only meaningful when the true sup is attained inside the grid
         if recovered[k] in G and flat_H[k] in G:

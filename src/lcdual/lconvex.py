@@ -18,8 +18,8 @@ from decimal import Decimal, localcontext
 from .scalars import EXACT, NEG_INF, POS_INF
 from .lattices import get_lattice
 from .categories import (
-    VCategory, Presheaf, opposite, is_presheaf, validate_category, self_enrichment, residuals,
-    _index_maps, _checked_points, _Value,
+    VCategory, validate_category, self_enrichment, residuals,
+    _index_maps, _checked_points, _nonexpansive, _Value,
 )
 
 
@@ -64,8 +64,11 @@ validate_lcs = validate_category
 
 
 def member(D, p):
-    """Membership: p is a presheaf on D's opposite, each dbm[v][w] below p(w) - p(v) in kbar."""
-    return is_presheaf(Presheaf(opposite(D), p))
+    """Membership: p is a presheaf on D's opposite, each dbm[v][w] below
+    p(w) - p(v) in kbar.  D's entries were checked when it was built, so
+    only the point is checked here."""
+    (p,) = _checked_points((p,), len(D.objects), D.lattice)
+    return _nonexpansive(D.lattice, zip(*D.dbm), p)
 
 
 def from_generators(S):

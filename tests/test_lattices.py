@@ -1,20 +1,22 @@
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from math import isfinite
+from math import comb, isfinite
 
 import pytest
 
 from lcdual.lattices import (
     get_lattice, law_violations,
-    KbarLattice, KbarPlusLattice, KbarPlusCartLattice, TwoLattice,
+    EnrichingLattice, KbarLattice, KbarPlusLattice, KbarPlusCartLattice, TwoLattice,
 )
 from lcdual.scalars import NEG_INF, POS_INF, TRUE, FALSE, fin, ext_add, format_scalar
 from lcdual.categories import VCategory, validate_category
 
 
 ALL_NAMES = ["two", "kbar", "kbar_plus", "kbar_plus_cart"]
+NUMERIC_NAMES = ALL_NAMES[1:]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -133,14 +135,19 @@ class _TwoHomIsSource(TwoLattice):
 
 
 class _PlusSupIsUsualMax(KbarPlusLattice):
-    # the raw sup behind both the public sup and the law suite's subset images
-    def _sup(self, xs):
-        return max(xs) if xs else POS_INF
+    # the raw join behind both the public sup and the law suite's subset images
+    _join = staticmethod(max)
 
 
 class _TwoInfIsSup(TwoLattice):
-    def _inf(self, xs):
-        return TRUE if TRUE in xs else FALSE
+    # the empty inf goes with the meet: sup's formula gives false on no terms
+    _meet = staticmethod(TwoLattice._join)
+    _top = FALSE
+
+
+class _KbarEmptyInfIsZero(KbarLattice):
+    # a wrong empty value with the right meet: only the 0-subsets see it
+    _top = 0
 
 
 @pytest.mark.parametrize("mutant, laws", [
@@ -151,8 +158,10 @@ class _TwoInfIsSup(TwoLattice):
     (_TwoHomIsSource, ["hom not antitone in source"]),
     (_PlusSupIsUsualMax, ["hom(-, inf) fails to turn sups into infs"]),
     (_TwoInfIsSup, ["hom(false, -) fails to preserve infs", "hom(-, false) fails to turn sups into infs"]),
+    (_KbarEmptyInfIsZero, ["hom(-inf, -) fails to preserve infs on a 0-subset",
+                           "hom(-, -inf) fails to turn sups into infs on a 0-subset"]),
 ], ids=["kbar-hom-inf-inf", "cart-plus-at-one", "two-hom-true", "two-hom-not-y", "two-hom-x",
-        "plus-sup-max", "two-inf-sup"])
+        "plus-sup-max", "two-inf-sup", "kbar-empty-inf-zero"])
 def test_law_suite_catches_a_broken_law(mutant, laws):
     bad = law_violations(mutant(), bound=3)
     assert bad
@@ -228,7 +237,7 @@ def reference_law_violations(L, bound=3, max_subset=3):
 SUITE_LATTICES = [
     TwoLattice, KbarLattice, KbarPlusLattice, KbarPlusCartLattice,
     _KbarInfMinusInf, _CartPlusAtOne, _TwoHomAlwaysTrue, _TwoHomNegatesTarget, _TwoHomIsSource,
-    _PlusSupIsUsualMax, _TwoInfIsSup,
+    _PlusSupIsUsualMax, _TwoInfIsSup, _KbarEmptyInfIsZero,
 ]
 
 
@@ -314,6 +323,66 @@ def test_law_suite_calls_each_op_once_per_pair(lattice, kind):
         assert pairs and max(pairs.values()) == 1, op
 
 
+@pytest.mark.parametrize("kind", ["int", "real"])
+def test_sup_inf_mutants_keep_their_reports(kind):
+    # the reports these mutants gave when each overrode the whole raw _sup or
+    # _inf, empty case included; overriding the join or meet (and, for two,
+    # the empty inf) must give them line for line
+    assert law_violations(_TwoInfIsSup(kind), 3) == [
+        "hom(false, -) fails to preserve infs on a 0-subset",
+        "hom(-, false) fails to turn sups into infs on a 0-subset",
+        "hom(-, false) fails to turn sups into infs on a 2-subset",
+        "hom(-, true) fails to turn sups into infs on a 0-subset",
+    ]
+    fails = "hom(-, %s) fails to turn sups into infs on a %d-subset"
+    counts = [("1", 2, 4), ("1", 3, 6), ("2", 2, 7), ("2", 3, 9), ("3", 2, 9), ("3", 3, 10),
+              ("inf", 2, 4), ("inf", 3, 6)]
+    want = [fails % (y, k) for y, k, times in counts for _ in range(times)]
+    want += ["hom not recovered from tensor at (%s, %s)" % (y, z)
+             for y in ("0", "1", "2", "3", "inf") for z in ("0", "1", "2", "3")]
+    want.append("hom not recovered from tensor at (inf, inf)")
+    assert law_violations(_PlusSupIsUsualMax(kind), 3) == want
+
+
+def test_sup_inf_are_written_once():
+    # each lattice gives only its join, meet and empty values; the rule that
+    # joins them is EnrichingLattice's, and the law suite relies on it
+    todo, seen = [EnrichingLattice], []
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert _TwoInfIsSup in seen and KbarPlusCartLattice in seen
+    for cls in seen[1:]:
+        assert not {"_sup", "_inf"} & set(vars(cls)), cls
+
+
+@pytest.mark.parametrize("name", NUMERIC_NAMES)
+def test_law_suite_runs_no_python_frame_per_subset(name):
+    # the subset images are reduced by C-level maps of the builtin min and
+    # max, so the Python calls the sup/inf laws add scale with the grid, not
+    # with its (y, subset) pairs
+    L = get_lattice(name)
+    n = len(L.carrier_grid(3))
+    counts = {}
+    for max_subset in (3, 0):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            assert law_violations(L, 3, max_subset) == []
+        finally:
+            sys.setprofile(outer)
+        counts[max_subset] = len(calls)
+    pairs = n * sum(comb(n, k) for k in range(4))
+    assert counts[3] - counts[0] < pairs, (counts, pairs)
+
+
 def test_order_is_reversed_for_numeric():
     kbar = get_lattice("kbar")
     assert kbar.leq(fin(5), fin(3))
@@ -338,9 +407,6 @@ def test_empty_sup_inf_are_extremes():
     two = get_lattice("two")
     assert two.sup([]) == FALSE
     assert two.inf([]) == TRUE
-
-
-NUMERIC_NAMES = ["kbar", "kbar_plus", "kbar_plus_cart"]
 
 
 def _outside(name, kind):
