@@ -11,10 +11,11 @@ instances are a closed enumeration: their empty-sup/inf conventions and
 infinity tables are forced, not configurable.
 """
 
+from collections import defaultdict
 from decimal import Decimal
 from functools import cache
-from itertools import chain, combinations, compress, repeat
-from operator import ge, ne, not_, or_
+from itertools import chain, combinations, compress, repeat, zip_longest
+from operator import floordiv, ge, itemgetter, mod, ne, not_, or_
 
 from .scalars import NEG_INF, POS_INF, TRUE, FALSE, ext_add, ext_sub, format_scalar, _scalar_kind
 
@@ -41,19 +42,25 @@ class EnrichingLattice:
         a tuple is checked in place, anything else is listed once first."""
         if type(xs) is not tuple:
             xs = list(xs)
-        contains, floor = self.contains, self._floor
+        floor = self._floor
         for x in xs:
             # True is no int by type, so it still goes to contains, which refuses it
-            if not (type(x) is int and x >= floor) and not contains(x):
+            if not (type(x) is int and x >= floor) and not self.contains(x):
                 raise ValueError("outside carrier: %s" % format_scalar(x))
         return xs
 
+    # each operand by _checked's own rule, without building its tuple; one
+    # outside the carrier goes to _checked, which names the first of them
     def tensor(self, x, y):
-        self._checked((x, y))
+        if not ((type(x) is int and x >= self._floor or self.contains(x))
+                and (type(y) is int and y >= self._floor or self.contains(y))):
+            self._checked((x, y))
         return self._tensor(x, y)
 
     def hom(self, x, y):
-        self._checked((x, y))
+        if not ((type(x) is int and x >= self._floor or self.contains(x))
+                and (type(y) is int and y >= self._floor or self.contains(y))):
+            self._checked((x, y))
         return self._hom(x, y)
 
     def _sup(self, xs):
@@ -209,13 +216,15 @@ def law_violations(L, bound=3, max_subset=3):
     hom from tensor as the sup of {x | tensor(x,y) <= z} whenever that sup
     lands inside the grid.
 
-    Every tensor and hom is read through a memo of the lattice's own
-    method, so each operand pair, on the grid or off it, goes to the lattice
-    once.  Each block of laws is decided by C-level passes over operand
-    columns, one entry per law instance; Python walks only the failing ones,
-    to write their notes in order.  The grid, and for each y the columns
-    tensor(s, y), hom(y, s) and hom(s, y), are checked against the carrier
-    once, so every term the raw _join/_meet receive is checked.
+    Each operand pair the laws name, on the grid or off it, goes to the
+    lattice's own tensor or hom once, through a memo that fills the grid's
+    tables and, for the triple laws, one row per operand: each term of those
+    is read from its row by position, so no term hashes a pair.  Each block
+    of laws is decided by C-level passes over operand columns, one entry per
+    law instance; Python walks only the failing ones, to write their notes
+    in order.  The grid, and each entry of the grid's tables, is checked
+    against the carrier once, at the first y whose subset laws hand it to
+    the raw _join/_meet, so every term those receive is checked.
     """
     G = L._checked(L.carrier_grid(bound))
     n, leq, unit, join, meet = len(G), L.leq, L.unit, L._join, L._meet
@@ -230,7 +239,8 @@ def law_violations(L, bound=3, max_subset=3):
         flags = list(map(list, flags))
         if not any(map(any, flags)):  # a block that holds costs one scan
             return
-        rows = list(zip(*flags))  # in lockstep: each instance's laws in order
+        # in lockstep: each instance's laws in order; a law given no flags holds
+        rows = list(zip_longest(*flags, fillvalue=False))
         for k, row in compress(enumerate(rows), map(any, rows)):
             for msg in compress(msgs, row):
                 note(msg, *at(k))
@@ -241,10 +251,24 @@ def law_violations(L, bound=3, max_subset=3):
     def rows_of(M, idx):  # the rows M[i] for i in idx, end to end
         return chain.from_iterable(map(M.__getitem__, idx))
 
+    def picked(rows, keys):  # row[k] for each k of the keys beside each row, end to end
+        return chain.from_iterable(map(map, map(getattr, rows, repeat("__getitem__")), keys))
+
+    def fails(holds):  # flags where the list holds is false, or none if it is all true
+        return () if all(holds) else map(not_, holds)
+
+    def table(op, xs, yss):  # for each x of xs, op(x, y) over the ys of yss beside it
+        return list(map(list, map(map, repeat(op), map(repeat, xs), yss)))
+
+    def distinct(M):  # M's distinct entries in order, and M with each entry's position there
+        vals = list(dict.fromkeys(chain.from_iterable(M)))
+        at = dict(zip(vals, range(len(vals)))).__getitem__
+        return vals, list(map(list, map(map, repeat(at), M)))
+
     tensor, hom = cache(L.tensor), cache(L.hom)
     # the grid's tables, T[i][j] = tensor(G[i], G[j]) and H[i][j] = hom(G[i], G[j])
-    T, H = ([list(map(op, repeat(x), G)) for x in G] for op in (tensor, hom))
-    Tt, Ht = [list(c) for c in zip(*T)], [list(c) for c in zip(*H)]
+    T, H = table(tensor, G, repeat(G)), table(hom, G, repeat(G))
+    Tt, Ht = list(map(list, zip(*T))), list(map(list, zip(*H)))
     flat_T, flat_H = list(rows_of(T, range(n))), list(rows_of(H, range(n)))
 
     walk(lambda k: (G[k],), ["unit law fails at %s"],
@@ -253,24 +277,48 @@ def law_violations(L, bound=3, max_subset=3):
     walk(lambda k: (G[k // n], G[k % n]), ["commutativity fails at (%s, %s)"],
          map(ne, flat_T, rows_of(Tt, range(n))))
 
-    # the triple (G[i], G[j], G[l]) at index (i * n + j) * n + l
-    X, Z, XY, HYZ = spread(G, n * n), G * (n * n), spread(flat_T, n), flat_H * n
+    def triple_flags():
+        """Flags of associativity, adjointness and the composition law at the
+        triple (G[i], G[j], G[l]), index (i * n + j) * n + l.
+
+        Each side of each law is read by position from rows: op(T[i][j],
+        G[l]) from the row of T[i][j] over the grid, op(G[i], M[j][l]) from
+        G[i]'s row over the distinct entries of M = T or H, and hom(H[i][j],
+        H[i][l]) from the row of H[i][j] over the entries it meets in a row
+        of H.  The rows ask the memo for just the pairs the laws name, and
+        each term is a C-level read; they are garbage once walked."""
+        t_vals, (t_flat,) = distinct([flat_T])
+        assoc = (rows_of(table(tensor, t_vals, repeat(G)), t_flat),
+                 picked(table(tensor, G, repeat(t_vals)), repeat(t_flat)))
+        h_vals, h_at = distinct(H)
+        h_flat = list(chain.from_iterable(h_at))
+        adjoint = (rows_of(table(leq, t_vals, repeat(G)), t_flat),
+                   picked(table(leq, G, repeat(h_vals)), repeat(h_flat)))
+        # each entry of H meets the entries of the rows of H it lies in; the
+        # unchanged set gives its row's operands and keys in the same order
+        meets = defaultdict(set)
+        for row in map(set, h_at):
+            for p in row:
+                meets[p] |= row
+        met = list(map(meets.__getitem__, range(len(h_vals))))
+        met_vals = map(map, repeat(h_vals.__getitem__), met)
+        h_rows = list(map(dict, map(zip, met, table(hom, h_vals, met_vals))))
+        composed = picked(map(h_rows.__getitem__, h_flat), spread(h_at, n))
+        return map(ne, *assoc), map(ne, *adjoint), fails(list(map(leq, flat_H * n, composed)))
+
     walk(lambda k: (G[k // n // n], G[k // n % n], G[k % n]),
          ["associativity fails at (%s, %s, %s)", "adjointness fails at (%s, %s, %s)",
-          "composition law fails at (%s, %s, %s)"],
-         map(ne, map(tensor, XY, Z), map(tensor, X, flat_T * n)),
-         map(ne, map(leq, XY, Z), map(leq, X, HYZ)),
-         map(not_, map(leq, HYZ, map(hom, spread(flat_H, n), rows_of(H, spread(range(n), n))))))
+          "composition law fails at (%s, %s, %s)"], *triple_flags())
 
     # the pairs x <= y, then z, at index p * n + l
     P = list(compress(range(n * n), map(leq, spread(G, n), G * n)))
-    xs, ys = [k // n for k in P], [k % n for k in P]
+    xs, ys = list(map(floordiv, P, repeat(n))), list(map(mod, P, repeat(n)))
     walk(lambda k: (G[xs[k // n]], G[ys[k // n]], G[k % n]),
          ["tensor not monotone at (%s <= %s, %s)", "hom not monotone in target at (%s <= %s, %s)",
           "hom not antitone in source at (%s <= %s, %s)"],
-         map(not_, map(leq, rows_of(T, xs), rows_of(T, ys))),
-         map(not_, map(leq, rows_of(Ht, xs), rows_of(Ht, ys))),
-         map(not_, map(leq, rows_of(H, ys), rows_of(H, xs))))
+         fails(list(map(leq, rows_of(T, xs), rows_of(T, ys)))),
+         fails(list(map(leq, rows_of(Ht, xs), rows_of(Ht, ys)))),
+         fails(list(map(leq, rows_of(H, ys), rows_of(H, xs)))))
 
     ks = range(1, max_subset + 1)
     bottom, top = L._sup(()), L._inf(())
@@ -280,20 +328,26 @@ def law_violations(L, bound=3, max_subset=3):
 
     sizes = list(reduced(G, len, 0))
     sups, infs = list(reduced(G, join, bottom)), list(reduced(G, meet, top))
-    some_sups, some_infs = list(set(sups)), list(set(infs))  # each distinct value once
+    # each distinct value once, and each subset's value as its position there,
+    # read from a row in one C call; itemgetter gives a tuple from two or more
+    # positions, and with the empty subset alone a row is its one value
+    (some_sups, (sup_at,)), (some_infs, (inf_at,)) = distinct([sups]), distinct([infs])
+    sup_of, inf_of = (itemgetter(*sup_at), itemgetter(*inf_at)) if ks else (tuple, tuple)
     subset_msgs = ["tensor(-, %s) fails to preserve sups on a %s-subset",
                    "hom(%s, -) fails to preserve infs on a %s-subset",
                    "hom(-, %s) fails to turn sups into infs on a %s-subset"]
-    for t_col, h_row, h_col, y in zip(Tt, H, Ht, G):
+    for k, (t_col, h_row, h_col, y) in enumerate(zip(Tt, H, Ht, G)):
         if ks:
-            L._checked(t_col + h_row + h_col)
-        t_at = dict(zip(some_sups, map(tensor, some_sups, repeat(y)))).__getitem__
-        hr_at = dict(zip(some_infs, map(hom, repeat(y), some_infs))).__getitem__
-        hc_at = dict(zip(some_sups, map(hom, some_sups, repeat(y)))).__getitem__
+            # H[y][s] for s before y passed in the column of s, and H[s][y] for
+            # s up to y in the row of s: each entry is checked where it first was
+            L._checked(t_col + h_row[k:] + h_col[k + 1:])
+        t_row = list(map(tensor, some_sups, repeat(y)))
+        hr_row = list(map(hom, repeat(y), some_infs))
+        hc_row = list(map(hom, some_sups, repeat(y)))
         # each law's two sides over every subset; y's notes come before the next y's
-        want = list(map(t_at, sups)), list(map(hr_at, infs)), list(map(hc_at, sups))
-        got = (list(reduced(t_col, join, bottom)), list(reduced(h_row, meet, top)),
-               list(reduced(h_col, meet, top)))
+        want = sup_of(t_row), inf_of(hr_row), sup_of(hc_row)
+        got = (tuple(reduced(t_col, join, bottom)), tuple(reduced(h_row, meet, top)),
+               tuple(reduced(h_col, meet, top)))
         if want != got:
             walk(lambda k: (y, sizes[k]), subset_msgs, *map(map, repeat(ne), want, got))
 

@@ -250,9 +250,10 @@ def test_law_suite_matches_reference(lattice, kind, bound):
 
 
 @pytest.mark.parametrize("kind", ["int", "real"])
-@pytest.mark.parametrize("lattice", SUITE_LATTICES[:4], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("lattice", SUITE_LATTICES, ids=lambda cls: cls.__name__)
 def test_law_suite_matches_reference_on_a_larger_grid(lattice, kind):
-    # kbar's 13-value grid at bound 5 reaches table and subset indices bounds 0-3 do not
+    # kbar's 13-value grid at bound 5 reaches table, row and subset indices
+    # bounds 0-3 do not
     L = lattice(kind)
     assert law_violations(L, 5) == reference_law_violations(L, 5)
 
@@ -304,9 +305,8 @@ def test_law_suite_without_subsets_reports_like_the_reference(mutant, kind):
         assert got and got == reference_law_violations(L, bound, 0), bound
 
 
-@pytest.mark.parametrize("kind", ["int", "real"])
-@pytest.mark.parametrize("lattice", SUITE_LATTICES[:4], ids=lambda cls: cls.__name__)
-def test_law_suite_calls_each_op_once_per_pair(lattice, kind):
+def _counting(lattice, kind):
+    """An instance of lattice that counts the operand pairs sent to tensor and hom."""
     calls = {"tensor": Counter(), "hom": Counter()}
 
     class Counting(lattice):
@@ -318,9 +318,23 @@ def test_law_suite_calls_each_op_once_per_pair(lattice, kind):
             calls["hom"][x, y] += 1
             return super().hom(x, y)
 
-    assert law_violations(Counting(kind), 2) == []
-    for op, pairs in calls.items():
-        assert pairs and max(pairs.values()) == 1, op
+    return Counting(kind), calls
+
+
+@pytest.mark.parametrize("max_subset", [0, 3])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("lattice", SUITE_LATTICES, ids=lambda cls: cls.__name__)
+def test_law_suite_sends_the_reference_pairs_once_each(lattice, kind, bound, max_subset):
+    # the law suite asks each op for just the operand pairs the plain loops
+    # ask for, each once: its rows never widen an op's domain
+    L, got = _counting(lattice, kind)
+    law_violations(L, bound, max_subset)
+    R, want = _counting(lattice, kind)
+    reference_law_violations(R, bound, max_subset)
+    for op in ("tensor", "hom"):
+        assert set(got[op]) == set(want[op]), op
+        assert max(got[op].values()) == 1, op
 
 
 @pytest.mark.parametrize("kind", ["int", "real"])
@@ -381,6 +395,43 @@ def test_law_suite_runs_no_python_frame_per_subset(name):
         counts[max_subset] = len(calls)
     pairs = n * sum(comb(n, k) for k in range(4))
     assert counts[3] - counts[0] < pairs, (counts, pairs)
+
+
+@pytest.mark.parametrize("kind", ["int", "real"])
+@pytest.mark.parametrize("name", NUMERIC_NAMES)
+def test_law_suite_runs_no_python_frame_per_triple(name, kind):
+    # the triple laws read their terms from rows by C-level passes, so as the
+    # grid grows the Python calls law_violations makes outside the lattice's
+    # own methods grow with the distinct pairs its tensor and hom receive,
+    # and not with the grid's triples
+    L = get_lattice(name, kind)
+    own = {getattr(getattr(L, a), "__code__", None) for a in dir(L)}
+    ops = {L.tensor.__code__, L.hom.__code__}
+    counts = {}
+    for bound in (3, 5):
+        seen = {"pairs": 0, "outside": 0, "depth": 0}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                if seen["depth"] or frame.f_code in own:
+                    # each pair goes to an op once, so its calls count the pairs
+                    seen["pairs"] += not seen["depth"] and frame.f_code in ops
+                    seen["depth"] += 1
+                else:
+                    seen["outside"] += 1
+            elif event == "return" and seen["depth"]:
+                seen["depth"] -= 1
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            assert law_violations(L, bound) == []
+        finally:
+            sys.setprofile(outer)
+        counts[bound] = seen
+    n3, n5 = (len(L.carrier_grid(b)) for b in (3, 5))
+    grown = {k: counts[5][k] - counts[3][k] for k in ("pairs", "outside")}
+    assert grown["outside"] < grown["pairs"] < n5 ** 3 - n3 ** 3, (counts, n3, n5)
 
 
 def test_order_is_reversed_for_numeric():
