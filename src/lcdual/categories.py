@@ -11,7 +11,7 @@ domain order, and a presheaf the tuple of its values in base order; label
 views are read off these tuples.
 """
 
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import attrgetter, itemgetter
 
 from .scalars import format_scalar
@@ -147,11 +147,11 @@ def _check_lattices(A, B):
 class VFunctor(_Value, tuple):
     """The functor sending domain.objects[i] to codomain.objects[positions[i]]:
     a frozen value with the fields domain, codomain and positions, stored as
-    the tuple (domain, codomain, head, tail), tail the last _tail_width(n)
-    positions (three from four objects up, else min(n, 2)) and head the
-    rest, so a search builds one with a single tuple.__new__ from a level's
-    prefix and a shared tail; it equals only a VFunctor, hashes like
-    (domain, codomain, positions) and is unordered."""
+    the tuple (domain, codomain, head, tail) with positions = head + tail,
+    so a search builds one with a single tuple.__new__ from a level's prefix
+    and a shared tail.  Any split gives the same value: the constructor keeps
+    an empty tail; it equals only a VFunctor, hashes like (domain, codomain,
+    positions) and is unordered."""
 
     __slots__ = ()
     _fields = ("domain", "codomain", "positions")
@@ -163,8 +163,7 @@ class VFunctor(_Value, tuple):
         positions = tuple(positions)
         _check_lattices(domain, codomain)
         _check_positions(positions, len(domain.objects), len(codomain.objects))
-        k = len(positions) - _tail_width(len(positions))
-        return tuple.__new__(cls, (domain, codomain, positions[:k], positions[k:]))
+        return tuple.__new__(cls, (domain, codomain, positions, ()))
 
     __ne__ = object.__ne__  # the inverse of __eq__, not tuple's item comparison
 
@@ -219,8 +218,8 @@ def _index_maps(src, dst, leq):
     positions of every object but the last w = _tail_width(n) and those w
     objects' positions as w-tuples in lexicographic order, so its maps are
     prefix + t for t in tails.  Every level has at least one tail; a src of
-    one or two objects has at most the one level ((), tails), and an empty
-    src has the one level ((), ((),)).
+    at most two objects has at most the one level ((), tails), and an empty
+    src the level ((), ((),)) of the one empty map.
 
     Depth-first search with forward checking (Haralick & Elliott 1980) over
     bitmask domains (Ullmann 1976): objects are assigned in src order,
@@ -238,11 +237,7 @@ def _index_maps(src, dst, leq):
     packed into ints of |dst|^2 bits only where the search reads it, so the
     table stays O(|dst|^2) per value.
     """
-    n = len(src)
-    if n == 0:
-        yield (), ((),)
-        return
-    m = len(dst)
+    n, m = len(src), len(dst)
     flat = [d for drow in dst for d in drow]  # dst[x][y] at m*x + y
     ok = {s: bytes(map(leq, repeat(s), flat)) for s in {s for row in src for s in row}}
     above = [(i, k) for i in range(n) for k in range(i + 1, n)]
@@ -260,10 +255,6 @@ def _index_maps(src, dst, leq):
     # domains[i]: every object's domain after assigning objects 0..i-1; at
     # first, object i may take x iff leq(src[i][i], dst[x][x])
     domains = [[_packed(ok[src[i][i]][::m + 1]) for i in range(n)]]
-    if n == 1:
-        if domains[0][0]:
-            yield (), tuple((y,) for y in _bits(domains[0][0]))
-        return
     w = _tail_width(n)
     tables = {}  # the last w objects' domain masks -> their tails
 
@@ -274,18 +265,20 @@ def _index_maps(src, dst, leq):
                 (a, b, c), (xy, xz), (yz,) = masks, both[-3], both[-2]
                 t = [(x, y, z) for x in _bits(a) for y in _bits(b & xy[x])
                      for z in _bits(c & xz[x] & yz[y])]
-            else:
+            elif w == 2:
                 (b, c), (yz,) = masks, both[-2]
                 t = [(y, z) for y in _bits(b) for z in _bits(c & yz[y])]
+            else:  # no pair among at most one object
+                t = product(*map(_bits, masks))
             t = tables[masks] = tuple(t)
         return t
 
-    if n == 2:
+    leaf = n - w - 1  # the last object assigned before a level is handed over
+    if leaf < 0:  # at most two objects, all in the one level
         t = table(*domains[0])
         if t:
             yield (), t
         return
-    leaf = n - w - 1  # the last object assigned before a level is handed over
     c = [0] * (leaf + 1)
     untried = [domains[0][0]]  # untried[i]: the values of object i not yet tried
     while untried:

@@ -11,7 +11,6 @@ instances are a closed enumeration: their empty-sup/inf conventions and
 infinity tables are forced, not configurable.
 """
 
-from collections import defaultdict
 from decimal import Decimal
 from functools import cache
 from itertools import chain, combinations, compress, repeat, zip_longest
@@ -218,13 +217,13 @@ def law_violations(L, bound=3, max_subset=3):
 
     Each operand pair the laws name, on the grid or off it, goes to the
     lattice's own tensor or hom once, through a memo that fills the grid's
-    tables and, for the triple laws, one row per operand: each term of those
-    is read from its row by position, so no term hashes a pair.  Each block
-    of laws is decided by C-level passes over operand columns, one entry per
-    law instance; Python walks only the failing ones, to write their notes
-    in order.  The grid, and each entry of the grid's tables, is checked
-    against the carrier once, at the first y whose subset laws hand it to
-    the raw _join/_meet, so every term those receive is checked.
+    tables and, for associativity and adjointness, one row per operand: each
+    of their terms is read from its row by position, so none hashes a pair.
+    Each block of laws is decided by C-level passes over operand columns, one
+    entry per law instance; Python walks only the failing ones, to write
+    their notes in order.  The grid is checked against the carrier once, and
+    for each y the columns tensor(s, y), hom(y, s) and hom(s, y) whole, so
+    every term the raw _join/_meet receive is checked.
     """
     G = L._checked(L.carrier_grid(bound))
     n, leq, unit, join, meet = len(G), L.leq, L.unit, L._join, L._meet
@@ -260,10 +259,9 @@ def law_violations(L, bound=3, max_subset=3):
     def table(op, xs, yss):  # for each x of xs, op(x, y) over the ys of yss beside it
         return list(map(list, map(map, repeat(op), map(repeat, xs), yss)))
 
-    def distinct(M):  # M's distinct entries in order, and M with each entry's position there
-        vals = list(dict.fromkeys(chain.from_iterable(M)))
-        at = dict(zip(vals, range(len(vals)))).__getitem__
-        return vals, list(map(list, map(map, repeat(at), M)))
+    def distinct(xs):  # the list xs's distinct entries in order, and each entry's position there
+        vals = list(dict.fromkeys(xs))
+        return vals, list(map(dict(zip(vals, range(len(vals)))).__getitem__, xs))
 
     tensor, hom = cache(L.tensor), cache(L.hom)
     # the grid's tables, T[i][j] = tensor(G[i], G[j]) and H[i][j] = hom(G[i], G[j])
@@ -281,29 +279,19 @@ def law_violations(L, bound=3, max_subset=3):
         """Flags of associativity, adjointness and the composition law at the
         triple (G[i], G[j], G[l]), index (i * n + j) * n + l.
 
-        Each side of each law is read by position from rows: op(T[i][j],
-        G[l]) from the row of T[i][j] over the grid, op(G[i], M[j][l]) from
-        G[i]'s row over the distinct entries of M = T or H, and hom(H[i][j],
-        H[i][l]) from the row of H[i][j] over the entries it meets in a row
-        of H.  The rows ask the memo for just the pairs the laws name, and
-        each term is a C-level read; they are garbage once walked."""
-        t_vals, (t_flat,) = distinct([flat_T])
+        Each side of associativity and adjointness is read by position from
+        rows: op(T[i][j], G[l]) from the row of T[i][j] over the grid, and
+        op(G[i], M[j][l]) from G[i]'s row over the distinct entries of M = T
+        or H.  The rows ask the memo for just the pairs the laws name, and
+        each term is a C-level read; they are garbage once walked.  The
+        composition law reads hom(H[i][j], H[i][l]) through the memo."""
+        t_vals, t_flat = distinct(flat_T)
         assoc = (rows_of(table(tensor, t_vals, repeat(G)), t_flat),
                  picked(table(tensor, G, repeat(t_vals)), repeat(t_flat)))
-        h_vals, h_at = distinct(H)
-        h_flat = list(chain.from_iterable(h_at))
+        h_vals, h_flat = distinct(flat_H)
         adjoint = (rows_of(table(leq, t_vals, repeat(G)), t_flat),
                    picked(table(leq, G, repeat(h_vals)), repeat(h_flat)))
-        # each entry of H meets the entries of the rows of H it lies in; the
-        # unchanged set gives its row's operands and keys in the same order
-        meets = defaultdict(set)
-        for row in map(set, h_at):
-            for p in row:
-                meets[p] |= row
-        met = list(map(meets.__getitem__, range(len(h_vals))))
-        met_vals = map(map, repeat(h_vals.__getitem__), met)
-        h_rows = list(map(dict, map(zip, met, table(hom, h_vals, met_vals))))
-        composed = picked(map(h_rows.__getitem__, h_flat), spread(h_at, n))
+        composed = map(hom, spread(flat_H, n), rows_of(H, spread(range(n), n)))
         return map(ne, *assoc), map(ne, *adjoint), fails(list(map(leq, flat_H * n, composed)))
 
     walk(lambda k: (G[k // n // n], G[k // n % n], G[k % n]),
@@ -331,16 +319,14 @@ def law_violations(L, bound=3, max_subset=3):
     # each distinct value once, and each subset's value as its position there,
     # read from a row in one C call; itemgetter gives a tuple from two or more
     # positions, and with the empty subset alone a row is its one value
-    (some_sups, (sup_at,)), (some_infs, (inf_at,)) = distinct([sups]), distinct([infs])
+    (some_sups, sup_at), (some_infs, inf_at) = distinct(sups), distinct(infs)
     sup_of, inf_of = (itemgetter(*sup_at), itemgetter(*inf_at)) if ks else (tuple, tuple)
     subset_msgs = ["tensor(-, %s) fails to preserve sups on a %s-subset",
                    "hom(%s, -) fails to preserve infs on a %s-subset",
                    "hom(-, %s) fails to turn sups into infs on a %s-subset"]
-    for k, (t_col, h_row, h_col, y) in enumerate(zip(Tt, H, Ht, G)):
+    for t_col, h_row, h_col, y in zip(Tt, H, Ht, G):
         if ks:
-            # H[y][s] for s before y passed in the column of s, and H[s][y] for
-            # s up to y in the row of s: each entry is checked where it first was
-            L._checked(t_col + h_row[k:] + h_col[k + 1:])
+            L._checked(t_col + h_row + h_col)
         t_row = list(map(tensor, some_sups, repeat(y)))
         hr_row = list(map(hom, repeat(y), some_infs))
         hc_row = list(map(hom, some_sups, repeat(y)))

@@ -270,7 +270,8 @@ def _bulk_built_cases():
     rng = random.Random("bulk")
     for lattice in LATTICES:
         L = get_lattice(lattice)
-        # 3 and 4 objects: a head of length 1 beside a 2- and a 3-position tail
+        # the search's split: up to 2 objects, an empty head beside a tail of
+        # every position; 3 and 4, a 1-position head beside a 2- and a 3-position tail
         for n in (0, 1, 2, 3, 4):
             for _ in range(5):
                 yield (random_category(rng, L, n, "abcd"),
@@ -279,16 +280,19 @@ def _bulk_built_cases():
 
 def test_bulk_built_functors_equal_constructed_ones():
     # a search builds its results past VFunctor.__new__, from the head and
-    # tail it holds; they must be the same objects in every observable way,
-    # also through every pickle protocol, of which 0 and 1 rebuild them past
-    # __new__ too
+    # tail it holds, while the constructor keeps every position in the head;
+    # any split of the positions into head and tail, the search's or another,
+    # must give the constructed value in every observable way, also through
+    # every pickle protocol, of which 0 and 1 rebuild them past __new__ too
     names = list(inspect.signature(VFunctor).parameters)
+
+    def observed(maps, objects):  # each map's hash, repr, images and object map
+        return [(hash(F), repr(F), list(map(F, objects)), F.object_map) for F in maps]
+
     total = 0
     for A, B in _bulk_built_cases():
         fs = enumerate_functors(A, B)
         for F in fs:
-            G = VFunctor(F.domain, F.codomain, F.positions)
-            assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
             assert copy.copy(F) == F
             assert all(hasattr(F, name) for name in names)
             assert (F.domain, F.codomain) == (A, B)
@@ -296,8 +300,14 @@ def test_bulk_built_functors_equal_constructed_ones():
             images = [F(a) for a in A.objects]
             assert images == [B.objects[j] for j in F.positions]
             assert F.object_map == tuple(zip(A.objects, images))
-        for protocol in range(6):
-            assert pickle.loads(pickle.dumps(fs, protocol)) == fs
+        constructed = [VFunctor(A, B, F.positions) for F in fs]
+        want = observed(constructed, A.objects)
+        splits = [[tuple.__new__(VFunctor, (A, B, F.positions[:k], F.positions[k:])) for F in fs]
+                  for k in range(len(A.objects) + 1)]
+        for rebuilt in [fs] + splits:
+            assert rebuilt == constructed and observed(rebuilt, A.objects) == want
+            for protocol in range(6):
+                assert pickle.loads(pickle.dumps(rebuilt, protocol)) == constructed
         assert copy.deepcopy(fs) == fs
         total += len(fs)
     assert total > 6 ** 5
@@ -347,10 +357,10 @@ def test_a_dense_search_leaves_one_tracked_object_per_result():
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_one_and_two_object_domains_match_oracle(lattice, n):
-    # the last objects' values are emitted as one level: with one or two
-    # objects, all of them in the first level; with three, the last two,
+    # the last objects' values are emitted as one level: with up to two
+    # objects, all of them in the one level; with three, the last two,
     # hanging off the first object; with four or five, the last three,
     # after a prefix of one or two objects
     L = get_lattice(lattice)
@@ -364,7 +374,8 @@ def test_one_and_two_object_domains_match_oracle(lattice, n):
         assert functor_images(A, B) == want
         kept += len(want)
         rejected += len(B.objects) ** n - len(want)
-    assert kept and rejected
+    # an empty domain has one map, the empty one, and rejects none
+    assert kept and (rejected if n else not rejected)
 
 
 def test_every_pair_of_two_object_categories_on_the_grid():
