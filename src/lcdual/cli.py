@@ -75,9 +75,9 @@ MAX_BOUND = 12
 
 
 def _bound(text):
-    """The --bound type: an integer from 0 to MAX_BOUND."""
+    """The --bound type: an int scalar literal from 0 to MAX_BOUND."""
     try:
-        bound = int(text)
+        bound = parse_scalar(text, "int")
     except ValueError:
         bound = -1
     if not 0 <= bound <= MAX_BOUND:
@@ -215,22 +215,28 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(argv):
+    """The parser for argv: every command, with the declared arguments of the
+    one argv names only, its first element that is a command.  argparse can
+    select no other, since no top-level option takes a value."""
     parser = argparse.ArgumentParser(
         prog="lcdual",
         description="Generalized metric spaces, L-convex sets, and their duality.")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if arg in COMMANDS), None)
     for name, (_, summary, files, options) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        for dest in files:
-            p.add_argument(dest)
-        for flag, kwargs in options:
-            p.add_argument(flag, **kwargs)
+        if name == named:
+            for dest in files:
+                p.add_argument(dest)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     command, _, files, _ = COMMANDS[args.command]
     try:
         return command(args, *[_load(getattr(args, dest), args.command, kinds)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -572,6 +573,18 @@ def test_bound_must_be_nonnegative(write, capsys):
         assert "invalid bound" in capsys.readouterr().err
 
 
+def test_bound_takes_the_int_scalar_syntax(write, capsys):
+    path = write("band.lcx", BAND_LCX)
+    for text in ("1_2", "\u0663", "inf", "0x3", "", "3.0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", path, "--bound", text])
+        assert exc.value.code == 2
+        assert "invalid bound %r" % text in capsys.readouterr().err
+    for text, bound in ((" 3 ", 3), ("+3", 3), ("12", 12), ("-0", 0)):
+        assert main(["render", path, "--bound", text]) == 0
+        assert capsys.readouterr().out.startswith("bound=%d index=v,w" % bound)
+
+
 def test_internal_error_exits_3(write, capsys, monkeypatch):
     def broken(C):
         raise RuntimeError("broken check")
@@ -607,6 +620,86 @@ def test_usage_line(command, capsys, monkeypatch):
     assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out.splitlines()[0] == USAGES[command] and err == ""
+
+
+def full_parser():
+    """The reference parser: every command with all of its declared arguments."""
+    parser = argparse.ArgumentParser(
+        prog="lcdual",
+        description="Generalized metric spaces, L-convex sets, and their duality.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, files, options) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for dest in files:
+            p.add_argument(dest)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+def outcome(argv, capsys):
+    """main(argv)'s exit code, or SystemExit's, with its stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+# argvs where `@kcat` and `@lcx` stand for a file of that kind
+PARSE_CASES = [
+    [], ["-h"], ["--help"],
+    *([command, "-h"] for command in cli.COMMANDS),
+    *([command] for command in cli.COMMANDS),
+    ["nope"], ["val"], ["val", "@kcat"],
+    ["--", "validate", "@kcat"], ["--foo", "validate", "@kcat"], ["-1", "validate", "@kcat"],
+    ["laws", "validate"], ["validate", "laws"], ["validate", "-h", "laws"],
+    ["validate", "@kcat", "extra"], ["render", "@lcx", "--bound", "13"], ["member", "@lcx"],
+    ["leq", "@kcat", "@kcat", "--map", "v:v,w:w", "--map", "v:w,w:w"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_main_matches_a_full_parser(argv, write, capsys, monkeypatch):
+    # main declares the arguments of the command argv names only; every
+    # answer, usage line and error must be the full parser's
+    monkeypatch.setenv("COLUMNS", "100")
+    files = {"@kcat": write("band.kcat", BAND_KCAT), "@lcx": write("band.lcx", BAND_LCX)}
+    argv = [files.get(arg, arg) for arg in argv]
+    got = [outcome(argv, capsys), outcome(tuple(argv), capsys), outcome(iter(argv), capsys)]
+    reference = full_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda *_: reference)
+    assert got == [outcome(argv, capsys)] * 3
+
+
+@pytest.mark.parametrize("argv", [["render", "@lcx", "--bound", "13"], ["validate", "-h"]])
+def test_main_reads_sys_argv_as_a_process(argv, write, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    argv = [write("band.lcx", BAND_LCX) if arg == "@lcx" else arg for arg in argv]
+    done = run_cli(*argv)
+    reference = full_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda *_: reference)
+    assert (done.returncode, done.stdout, done.stderr) == outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([command, "-h"] for command in cli.COMMANDS)],
+                         ids=" ".join)
+def test_main_declares_the_named_commands_arguments_only(argv, capsys, monkeypatch):
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def spy(container, *args, **kwargs):
+        if kwargs.get("action") != "help":
+            added.append((container.prog, args[0]))
+        return add_argument(container, *args, **kwargs)
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    with pytest.raises(SystemExit):
+        main(argv)
+    want = []
+    if len(argv) == 2:
+        _, _, files, options = cli.COMMANDS[argv[0]]
+        want = [("lcdual " + argv[0], arg) for arg in [*files, *(flag for flag, _ in options)]]
+    assert added == want
 
 
 def test_readme_lists_every_command():
