@@ -13,6 +13,7 @@ into the rest: `InvalidCategory` prints the `validate` report and exits 1,
 
 import argparse
 import sys
+from string import whitespace
 
 from .scalars import parse_scalar
 from .lattices import get_lattice, law_violations
@@ -41,20 +42,20 @@ def _load(path, command, kinds):
 
 
 def _parse_spec(spec, sep, entry, form):
-    """Parse `key<sep>value,key<sep>value` into a dict of stripped strings;
-    entry and form name a chunk in the error messages."""
+    """Parse `key<sep>value,key<sep>value` into a dict of strings stripped of
+    ASCII whitespace; entry and form name a chunk in the error messages."""
     out = {}
     for chunk in spec.split(","):
-        chunk = chunk.strip()
+        chunk = chunk.strip(whitespace)
         if not chunk:
             continue
         if sep not in chunk:
             raise DocumentError("bad %s %r (expected %s)" % (entry, chunk, form))
         key, _, value = chunk.partition(sep)
-        key = key.strip()
+        key = key.strip(whitespace)
         if key in out:
             raise DocumentError("duplicate %s for %r" % (entry, key))
-        out[key] = value.strip()
+        out[key] = value.strip(whitespace)
     return out
 
 

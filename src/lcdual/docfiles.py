@@ -9,9 +9,10 @@ body lines:
     point: VALUE VALUE    (points, generators; coordinates in index order)
 
 Values use the scalar text syntax (`inf`, `-inf`, numeric literals).
-Lines starting with `#` are comments.  Parsing is strict: unknown keys,
-duplicate or missing matrix entries, and label mismatches are reported
-with line numbers.
+Lines starting with `#` are comments.  Parsing is strict: a malformed line
+(an unknown key or label, a duplicate, a bad literal or count of values)
+raises DocumentError naming its line.  Errors about the whole document, a
+missing kind or scalar header, label list or matrix entry, have no line.
 """
 
 from .scalars import parse_scalar, format_scalar
@@ -48,99 +49,86 @@ class Document(_Value):
         self._set(kind=kind, scalar=scalar, labels=labels, matrix=matrix, points=points)
 
 
-def _is_identifier(label):
-    return label.isidentifier() and label.isascii()
-
-
 def parse_document(text):
-    kind = scalar = None
-    labels = None
+    kind = scalar = labels = None
     entries = {}
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if ":" not in line:
-            raise DocumentError("expected 'key: value', got %r" % line, lineno)
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
-        if key == "kind":
-            if kind is not None:
-                raise DocumentError("duplicate kind header", lineno)
-            if rest not in KINDS:
-                raise DocumentError("unknown kind %r (expected one of %s)"
-                                    % (rest, ", ".join(KINDS)), lineno)
-            kind = rest
-        elif key == "scalar":
-            if scalar is not None:
-                raise DocumentError("duplicate scalar header", lineno)
-            if rest not in ("int", "real"):
-                raise DocumentError("scalar must be 'int' or 'real'", lineno)
-            scalar = rest
-        elif key in ("index", "points"):
-            if labels is not None:
-                raise DocumentError("duplicate label list", lineno)
-            if kind is None:
-                raise DocumentError("label list before the kind header", lineno)
-            expected = KINDS[kind][1]
-            if key != expected:
-                raise DocumentError("kind %s uses a %r label list, not %r"
-                                    % (kind, expected, key), lineno)
-            parts = rest.split()
-            if not parts:
-                raise DocumentError("empty label list", lineno)
-            for lab in parts:
-                if not _is_identifier(lab):
-                    raise DocumentError("label %r is not an ASCII identifier" % lab, lineno)
-            if len(set(parts)) != len(parts):
-                raise DocumentError("duplicate labels in the label list", lineno)
-            labels = tuple(parts)
-        elif key in ("hom", "d"):
-            if kind is None or scalar is None or labels is None:
-                raise DocumentError("matrix entry before the headers", lineno)
-            expected = KINDS[kind][2]
-            if expected == "point":
-                raise DocumentError("kind %s has no matrix entries" % kind, lineno)
-            if key != expected:
-                raise DocumentError("kind %s uses %r entries, not %r"
-                                    % (kind, expected, key), lineno)
-            parts = rest.split()
-            if len(parts) != 3:
-                raise DocumentError("expected '%s: a b VALUE'" % key, lineno)
-            a, b, value = parts
-            for lab in (a, b):
-                if lab not in labels:
-                    raise DocumentError("unknown label %r" % lab, lineno)
-            if (a, b) in entries:
-                raise DocumentError("duplicate entry for pair (%s, %s)" % (a, b), lineno)
-            try:
+        try:
+            if ":" not in line:
+                raise ValueError("expected 'key: value', got %r" % line)
+            key, _, rest = line.partition(":")
+            key = key.strip()
+            rest = rest.strip()
+            if key == "kind":
+                if kind is not None:
+                    raise ValueError("duplicate kind header")
+                if rest not in KINDS:
+                    raise ValueError("unknown kind %r (expected one of %s)"
+                                     % (rest, ", ".join(KINDS)))
+                kind = rest
+            elif key == "scalar":
+                if scalar is not None:
+                    raise ValueError("duplicate scalar header")
+                if rest not in ("int", "real"):
+                    raise ValueError("scalar must be 'int' or 'real'")
+                scalar = rest
+            elif key in ("index", "points"):
+                if labels is not None:
+                    raise ValueError("duplicate label list")
+                if kind is None:
+                    raise ValueError("label list before the kind header")
+                expected = KINDS[kind][1]
+                if key != expected:
+                    raise ValueError("kind %s uses a %r label list, not %r" % (kind, expected, key))
+                parts = rest.split()
+                if not parts:
+                    raise ValueError("empty label list")
+                for lab in parts:
+                    if not (lab.isidentifier() and lab.isascii()):
+                        raise ValueError("label %r is not an ASCII identifier" % lab)
+                if len(set(parts)) != len(parts):
+                    raise ValueError("duplicate labels in the label list")
+                labels = tuple(parts)
+            elif key in ("hom", "d", "point"):
+                is_point = key == "point"
+                # a label list needs the kind header, so labels imply a kind
+                if scalar is None or labels is None:
+                    raise ValueError("%s before the headers"
+                                     % ("point line" if is_point else "matrix entry"))
+                expected = KINDS[kind][2]
+                if is_point != (expected == "point"):
+                    raise ValueError("kind %s has no %s"
+                                     % (kind, "point lines" if is_point else "matrix entries"))
+                if key != expected:
+                    raise ValueError("kind %s uses %r entries, not %r" % (kind, expected, key))
+                parts = rest.split()
+                if is_point:
+                    if len(parts) != len(labels):
+                        raise ValueError("point has %d coordinates, index has %d labels"
+                                         % (len(parts), len(labels)))
+                    points.append(tuple(parse_scalar(v, scalar) for v in parts))
+                    continue
+                if len(parts) != 3:
+                    raise ValueError("expected '%s: a b VALUE'" % key)
+                a, b, value = parts
+                for lab in (a, b):
+                    if lab not in labels:
+                        raise ValueError("unknown label %r" % lab)
+                if (a, b) in entries:
+                    raise ValueError("duplicate entry for pair (%s, %s)" % (a, b))
                 entries[(a, b)] = parse_scalar(value, scalar)
-            except ValueError as exc:
-                raise DocumentError(str(exc), lineno)
-        elif key == "point":
-            if kind is None or scalar is None or labels is None:
-                raise DocumentError("point line before the headers", lineno)
-            if KINDS[kind][2] != "point":
-                raise DocumentError("kind %s has no point lines" % kind, lineno)
-            parts = rest.split()
-            if len(parts) != len(labels):
-                raise DocumentError("point has %d coordinates, index has %d labels"
-                                    % (len(parts), len(labels)), lineno)
-            try:
-                points.append(tuple(parse_scalar(v, scalar) for v in parts))
-            except ValueError as exc:
-                raise DocumentError(str(exc), lineno)
-        else:
-            raise DocumentError("unknown key %r" % key, lineno)
+            else:
+                raise ValueError("unknown key %r" % key)
+        except ValueError as exc:
+            raise DocumentError(str(exc), lineno)
 
-    if kind is None:
-        raise DocumentError("missing kind header")
-    if scalar is None:
-        raise DocumentError("missing scalar header")
-    if labels is None:
-        raise DocumentError("missing label list")
+    for value, what in ((kind, "kind header"), (scalar, "scalar header"), (labels, "label list")):
+        if value is None:
+            raise DocumentError("missing " + what)
     if KINDS[kind][2] != "point":
         missing = [(a, b) for a in labels for b in labels if (a, b) not in entries]
         if missing:
@@ -184,16 +172,8 @@ def to_category(doc):
     return convert(doc, "kcategory")
 
 
-def to_lcs(doc):
-    return convert(doc, "lconvex")
-
-
 def to_constraints(doc):
     return convert(doc, "constraints", "lconvex")
-
-
-def to_generators(doc):
-    return convert(doc, "generators", "points")
 
 
 def from_category(C):

@@ -14,6 +14,7 @@ bools, because True == 1.
 """
 
 import re
+from string import whitespace
 from decimal import (Context, Decimal, Inexact, InvalidOperation, Overflow,
                      MAX_EMAX, MAX_PREC, MIN_EMIN)
 
@@ -108,9 +109,10 @@ def parse_scalar(text, scalar_kind="int"):
     Integer kind accepts an optional ASCII sign and ASCII decimal digits;
     real kind accepts ASCII decimal literals with an optional exponent, as
     the exact Decimal, if its exponent lies within MAX_EXPONENT of 0.
+    Surrounding ASCII whitespace is ignored; any other character is refused.
     """
     kind = _scalar_kind(scalar_kind)
-    text = text.strip()
+    text = text.strip(whitespace)
     if text == "inf":
         return POS_INF
     if text == "-inf":

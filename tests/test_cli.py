@@ -10,7 +10,7 @@ from lcdual import categories, classify, cli
 from lcdual.categories import enumerate_functors, validate_category
 from lcdual.lattices import law_violations
 from lcdual.cli import main
-from lcdual.docfiles import parse_document, to_category, to_lcs
+from lcdual.docfiles import parse_document, convert
 from lcdual.duality import enumerate_homs
 
 from test_lattices import _TwoHomNegatesTarget
@@ -126,6 +126,13 @@ def test_member_bad_point(write, capsys):
     assert "bad integer scalar literal" in capsys.readouterr().err
     assert main(["member", path, "--point", "v=0,w=5,v=4"]) == 2
     assert "duplicate coordinate for 'v'" in capsys.readouterr().err
+    # a spec strips ASCII whitespace only, around labels and values alike
+    assert main(["member", path, "--point", "v=\u20030,w=0"]) == 2
+    assert capsys.readouterr().err == "error: bad integer scalar literal: '\\u20030'\n"
+    assert main(["member", path, "--point", "\u2003v=0,w=0"]) == 2
+    assert capsys.readouterr().err == "error: unknown label '\\u2003v' in point\n"
+    assert main(["member", path, "--point", " v =\t0 ,w=0\x0c"]) == 0
+    assert capsys.readouterr().out == "true\n"
 
 
 # (command, the other arguments, a spec with one error, the whole stderr)
@@ -333,7 +340,7 @@ def _collapsed(kind, labels):
 def test_maps_print_label_by_label(write, capsys):
     # a dense 3 -> 3 pair keeps all 27 maps
     kcat, lcx = _collapsed("kcategory", "uvw"), _collapsed("lconvex", "uvw")
-    A, D = to_category(parse_document(kcat)), to_lcs(parse_document(lcx))
+    A, D = convert(parse_document(kcat), "kcategory"), convert(parse_document(lcx), "lconvex")
     for command, path, labels, maps in (
             ("functors", write("c.kcat", kcat), A.objects, enumerate_functors(A, A)),
             ("homs", write("c.lcx", lcx), D.index, enumerate_homs(D, D))):
@@ -575,7 +582,8 @@ def test_bound_must_be_nonnegative(write, capsys):
 
 def test_bound_takes_the_int_scalar_syntax(write, capsys):
     path = write("band.lcx", BAND_LCX)
-    for text in ("1_2", "\u0663", "inf", "0x3", "", "3.0"):
+    # the int scalar syntax strips ASCII whitespace only: an em space or a no-break space is refused
+    for text in ("1_2", "\u0663", "inf", "0x3", "", "3.0", "\u20033", "3\u00a0"):
         with pytest.raises(SystemExit) as exc:
             main(["render", path, "--bound", text])
         assert exc.value.code == 2

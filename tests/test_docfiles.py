@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from lcdual.cli import main
 from lcdual.scalars import NEG_INF, POS_INF, MAX_EXPONENT, fin
 from lcdual.docfiles import (
-    Document, parse_document, emit_document, DocumentError,
-    to_category, to_lcs, to_constraints, to_generators,
-    from_category, from_lcs,
+    KINDS, Document, parse_document, emit_document, DocumentError,
+    convert, to_category, to_constraints, from_category, from_lcs,
 )
 
 from conftest import kcat
@@ -55,11 +54,11 @@ def test_parse_kcategory():
 
 
 def test_parse_lconvex_and_generators():
-    D = to_lcs(parse_document(LCX_TEXT))
+    D = convert(parse_document(LCX_TEXT), "lconvex")
     assert D.bound("v", "w") == fin(1)
     c = to_constraints(parse_document(LCX_TEXT.replace("lconvex", "constraints")))
     assert c.bound("v", "w") == fin(1) and c.matrix == c.dbm
-    S = to_generators(parse_document(GEN_TEXT))
+    S = convert(parse_document(GEN_TEXT), "generators", "points")
     assert len(S.points) == 3
     assert S.points[1][1] == POS_INF
     assert S.points[2][0] == NEG_INF
@@ -76,7 +75,7 @@ def test_emit_is_canonical_roundtrip():
 def test_from_category_and_lcs():
     C = kcat([[0, 3], [4, 0]])
     assert parse_document(emit_document(from_category(C))).matrix == C.hom
-    D = to_lcs(parse_document(LCX_TEXT))
+    D = convert(parse_document(LCX_TEXT), "lconvex")
     assert emit_document(from_lcs(D)).startswith("kind: lconvex")
 
 
@@ -107,7 +106,7 @@ def test_emit_parse_roundtrip_fuzz(doc):
     # the same Decimals, exponents included, so the text comes back byte for byte
     assert emit_document(again) == text
     if doc.kind == "lconvex":
-        assert from_lcs(to_lcs(doc)) == doc
+        assert from_lcs(convert(doc, "lconvex")) == doc
     if doc.kind == "kcategory":
         assert from_category(to_category(doc)) == doc
 
@@ -148,17 +147,70 @@ def test_parse_errors_carry_line_numbers(text, line, frag):
     assert frag in str(exc.value)
 
 
-@pytest.mark.parametrize("convert", [to_category, to_lcs, to_constraints, to_generators])
-def test_converters_refuse_another_kind(convert):
-    want = {to_category: "a kcategory", to_lcs: "an lconvex",
-            to_constraints: "a constraints or lconvex",
-            to_generators: "a generators or points"}[convert]
-    other = GEN_TEXT if convert is not to_generators else LCX_TEXT
-    doc = parse_document(other)
+@pytest.mark.parametrize("kinds,want", [
+    (("kcategory",), "a kcategory"),
+    (("lconvex",), "an lconvex"),
+    (("constraints", "lconvex"), "a constraints or lconvex"),
+    (("generators", "points"), "a generators or points"),
+], ids=["kcategory", "lconvex", "constraints-lconvex", "generators-points"])
+def test_converters_refuse_another_kind(kinds, want):
+    doc = parse_document(LCX_TEXT if "points" in kinds else GEN_TEXT)
     with pytest.raises(DocumentError) as exc:
-        convert(doc)
+        convert(doc, *kinds)
     assert str(exc.value) == "expected %s document, got kind %s" % (want, doc.kind)
     assert exc.value.line is None
+
+
+# a valid document of each kind, three header lines and then its body
+VALID_TEXTS = {
+    "kcategory": KCAT_TEXT,
+    "lconvex": LCX_TEXT,
+    "constraints": LCX_TEXT.replace("lconvex", "constraints"),
+    "points": GEN_TEXT.replace("generators", "points"),
+    "generators": GEN_TEXT,
+}
+
+
+def _bad_lines(kind, above):
+    """One (bad line, its error) per line error class that a document of kind can meet
+    below the body lines above."""
+    key = KINDS[kind][2]
+    bad = [("%s v w 0" % key, "expected 'key: value', got '%s v w 0'" % key),
+           ("foo: 1", "unknown key 'foo'"),
+           ("kind: %s" % kind, "duplicate kind header"),
+           ("scalar: int", "duplicate scalar header")]
+    if key == "point":
+        return bad + [("point: 0 1_0", "scalar literal: '1_0'"),
+                      ("point: 0", "point has 1 coordinates, index has 2 labels"),
+                      ("d: v w 0", "kind %s has no matrix entries" % kind),
+                      ("hom: v w 0", "kind %s has no matrix entries" % kind)]
+    other = "d" if key == "hom" else "hom"
+    bad += [("%s: v z 0" % key, "unknown label 'z'"),
+            ("%s: v w" % key, "expected '%s: a b VALUE'" % key),
+            ("%s: v w 0" % other, "kind %s uses %r entries, not %r" % (kind, key, other)),
+            ("point: 0 0", "kind %s has no point lines" % kind)]
+    # a pair's second entry is refused as a duplicate before its literal is read
+    seen = [tuple(line.split()[1:3]) for line in above if line.startswith(key)]
+    if seen:
+        bad.append(("%s: %s %s 0" % (key, *seen[-1]),
+                    "duplicate entry for pair (%s, %s)" % seen[-1]))
+    unseen = [(a, b) for a in "vw" for b in "vw" if (a, b) not in seen]
+    if unseen:
+        bad.append(("%s: %s %s 1_0" % (key, *unseen[0]), "scalar literal: '1_0'"))
+    return bad
+
+
+@pytest.mark.parametrize("scalar", ["int", "real"])
+@pytest.mark.parametrize("kind", list(VALID_TEXTS))
+def test_a_bad_line_anywhere_in_the_body_is_named(kind, scalar):
+    lines = VALID_TEXTS[kind].replace("scalar: int", "scalar: " + scalar).splitlines()
+    assert parse_document("\n".join(lines)).kind == kind
+    for at in range(3, len(lines) + 1):
+        for bad, error in _bad_lines(kind, lines[3:at]):
+            with pytest.raises(DocumentError) as exc:
+                parse_document("\n".join(lines[:at] + [bad] + lines[at:]))
+            assert exc.value.line == at + 1, (at, bad)
+            assert error in str(exc.value), (at, bad)
 
 
 def test_missing_entries_reported():
@@ -176,12 +228,12 @@ def test_missing_headers_reported():
 
 def test_real_kind_values():
     text = "kind: lconvex\nscalar: real\nindex: v\nd: v v 0.0\n"
-    D = to_lcs(parse_document(text))
+    D = convert(parse_document(text), "lconvex")
     assert D.bound("v", "v") == Decimal("0.0")
     assert "0.0" in emit_document(from_lcs(D))
     # str(Decimal) is lossless: trailing zeros echo, and exponents print as E+n
     text = "kind: lconvex\nscalar: real\nindex: v w\nd: v v 0\nd: v w 2.50\nd: w v 1e308\nd: w w 0\n"
-    out = emit_document(from_lcs(to_lcs(parse_document(text))))
+    out = emit_document(from_lcs(convert(parse_document(text), "lconvex")))
     assert "d: v w 2.50\n" in out and "d: w v 1E+308\n" in out
 
 
